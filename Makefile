@@ -61,12 +61,14 @@ profile-smoke:
 
 # Tier-2 soak: the optimizing-retranslation gates under the race detector —
 # the deopt/quarantine policy tests, the deferred-commit reconstruction
-# wall (the FuzzTier2Lockstep seed corpus replays as unit cases), and the
-# tier-2 golden equivalence + determinism suite. Byte-identical output
-# against the tier-1 goldens is the bar.
+# wall (the FuzzTier2Lockstep seed corpus replays as unit cases), the
+# tier-2 golden equivalence + determinism suite, and the traditional-
+# compiler baseline, whose branch profile type (sched.Profile) tier 2
+# shares. Byte-identical output against the tier-1 goldens is the bar.
 tier2-soak:
 	$(GO) test -race ./internal/vmm -run 'TestTier2|FuzzTier2Lockstep'
 	$(GO) test -race ./internal/golden -run 'Tier2'
+	$(GO) test -race ./internal/tradcomp/...
 
 # AOT soak: whole-binary pre-translation equivalence under the race
 # detector — precompile-then-run must be byte-identical to a synchronous

@@ -30,24 +30,48 @@ type Recipe struct {
 	Tier uint8
 }
 
-// Scheduler derives translator options for an optimizing retranslation.
-// It is the seam between the VMM and the traditional-compiler machinery:
-// the VMM holds a Scheduler, not a tradcomp dependency.
-type Scheduler interface {
-	// Derive returns base reconfigured to this scheduler's recipe, with
-	// prob (may be nil) as the profile feedback for branch probabilities.
-	Derive(base core.Options, prob func(pc uint32) (float64, bool)) core.Options
+// Profile counts the directions of conditional branches observed by
+// interpreting ahead: [not taken, taken] per branch address. It is the
+// profile-directed feedback both optimizing recipes consume — a whole
+// training run for the static baseline, a promotion-time look-ahead for
+// the runtime tier-2.
+type Profile map[uint32][2]uint64
+
+// Record counts one execution of the branch at pc; its signature matches
+// the interpreter's OnBranch hook.
+func (p Profile) Record(pc uint32, taken bool) {
+	c := p[pc]
+	if taken {
+		c[1]++
+	} else {
+		c[0]++
+	}
+	p[pc] = c
 }
 
-// Derive implements Scheduler.
-func (r Recipe) Derive(base core.Options, prob func(pc uint32) (float64, bool)) core.Options {
+// Prob returns the measured taken probability of the branch at pc, or
+// ok=false when the branch was never observed.
+func (p Profile) Prob(pc uint32) (float64, bool) {
+	c, ok := p[pc]
+	if !ok || c[0]+c[1] == 0 {
+		return 0, false
+	}
+	return float64(c[1]) / float64(c[0]+c[1]), true
+}
+
+// Derive returns base reconfigured to the recipe, with prof (may be nil)
+// as the profile feedback for branch probabilities.
+func (r Recipe) Derive(base core.Options, prof Profile) core.Options {
 	opt := base
 	opt.PreciseExceptions = false
 	opt.CrossPage = r.CrossPage
 	opt.Window = r.Window
 	opt.MaxJoinVisits = r.MaxJoinVisits
 	opt.MaxLoopVisits = r.MaxLoopVisits
-	opt.ProfileProb = prob
+	opt.ProfileProb = nil
+	if prof != nil {
+		opt.ProfileProb = prof.Prob
+	}
 	opt.TraceGuide = nil
 	opt.Tier = r.Tier
 	return opt

@@ -33,37 +33,15 @@ type Result struct {
 	CodeBytes uint64
 }
 
-// Profile holds per-branch taken statistics from a training run.
-type Profile struct {
-	taken map[uint32][2]uint64 // [notTaken, taken]
-}
-
-// Prob returns the measured taken probability of the branch at pc.
-func (p *Profile) Prob(pc uint32) (float64, bool) {
-	c, ok := p.taken[pc]
-	if !ok || c[0]+c[1] == 0 {
-		return 0, false
-	}
-	return float64(c[1]) / float64(c[0]+c[1]), true
-}
-
 // Train interprets the program once, collecting the branch profile.
-func Train(prog *asm.Program, input []byte, memSize uint32) (*Profile, error) {
+func Train(prog *asm.Program, input []byte, memSize uint32) (sched.Profile, error) {
 	m := mem.New(memSize)
 	if err := prog.Load(m); err != nil {
 		return nil, err
 	}
-	pr := &Profile{taken: make(map[uint32][2]uint64)}
+	pr := make(sched.Profile)
 	ip := interp.New(m, &interp.Env{In: input}, prog.Entry())
-	ip.OnBranch = func(pc uint32, taken bool) {
-		c := pr.taken[pc]
-		if taken {
-			c[1]++
-		} else {
-			c[0]++
-		}
-		pr.taken[pc] = c
-	}
+	ip.OnBranch = pr.Record
 	if err := ip.Run(2_000_000_000); !errors.Is(err, interp.ErrHalt) {
 		return nil, fmt.Errorf("tradcomp: training run: %w", err)
 	}
@@ -74,14 +52,10 @@ func Train(prog *asm.Program, input []byte, memSize uint32) (*Profile, error) {
 // configuration and profile, derived through the shared scheduling recipe
 // (sched.Baseline) so the VMM's optimizing tier and this static baseline
 // cannot drift apart.
-func Options(cfg vliw.Config, pr *Profile) core.Options {
+func Options(cfg vliw.Config, pr sched.Profile) core.Options {
 	base := core.DefaultOptions()
 	base.Config = cfg
-	var prob func(pc uint32) (float64, bool)
-	if pr != nil {
-		prob = pr.Prob
-	}
-	return sched.Baseline().Derive(base, prob)
+	return sched.Baseline().Derive(base, pr)
 }
 
 // Measure runs the program compiled by the baseline and reports its ILP;

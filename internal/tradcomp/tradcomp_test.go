@@ -27,11 +27,11 @@ func TestProfileCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.taken) == 0 {
+	if len(pr) == 0 {
 		t.Fatal("no branches profiled")
 	}
 	found := false
-	for pc := range pr.taken {
+	for pc := range pr {
 		if p, ok := pr.Prob(pc); ok && p >= 0 && p <= 1 {
 			found = true
 		}

@@ -88,7 +88,7 @@ type txJob struct {
 	// published through publishTier2 rather than publish. noSpec carries
 	// the page's adaptive-speculation inhibit into the recipe.
 	tier2   bool
-	profile map[uint32][2]uint64
+	profile sched.Profile
 	noSpec  bool
 
 	// enqueuedNs stamps the handoff for the pipeline latency histograms
@@ -213,7 +213,8 @@ func (p *txPipeline) spawnWorker() {
 
 // workerTranslate runs one translation behind the recover barrier: a
 // panicking translator (real or chaos-planted) becomes an error result,
-// never a dead worker. Runs on a worker goroutine.
+// never a dead worker. Runs on a worker goroutine, or inline for a
+// synchronous machine's tier-2 promotion.
 func workerTranslate(job txJob, opt core.Options) (r txResult) {
 	r.job = job
 	defer guardTranslate(&r.err)
@@ -229,9 +230,9 @@ func workerTranslate(job txJob, opt core.Options) (r txResult) {
 	return translateSnapshot(job, opt)
 }
 
-// translateSnapshot runs on a worker goroutine: it rebuilds the page's
-// bytes in a private memory image and translates with a private
-// Translator, so nothing it reads or writes is shared with the machine.
+// translateSnapshot rebuilds the page's bytes in a private memory image
+// and translates with a private Translator, so nothing it reads or writes
+// is shared with the machine.
 func translateSnapshot(job txJob, opt core.Options) txResult {
 	mm := mem.New(job.base + uint32(len(job.snap)))
 	if err := mm.LoadImage(job.base, job.snap); err != nil {
@@ -240,7 +241,7 @@ func translateSnapshot(job txJob, opt core.Options) txResult {
 	if job.tier2 {
 		// An optimizing retranslation: the recipe and the promotion-time
 		// profile ride in the job, so the worker needs no machine state.
-		opt = sched.Tier2().Derive(opt, profileProb(job.profile))
+		opt = sched.Tier2().Derive(opt, job.profile)
 		if job.noSpec {
 			opt.SpeculateLoads = false
 		}
@@ -359,102 +360,104 @@ func (m *Machine) groupAsync(addr uint32) (*vliw.Group, error) {
 	return nil, nil
 }
 
-// enqueue snapshots the page and offers it to the worker pool. A full
-// queue is backpressure, not an error: the page stays interpretive and a
-// later dispatch retries (hot count is already past threshold).
-func (m *Machine) enqueue(base, entry uint32) {
+// newJob snapshots the page at base for a translation from entry: a copy
+// of its bytes, their digest and the page's invalidation epoch (a nil-map
+// read is 0 on a synchronous machine). ok=false when the page extends
+// past physical memory, so nothing is translatable. Every translation job
+// — tier-1 enqueue, tier-2 promotion, precompilation — starts here.
+func (m *Machine) newJob(base, entry uint32) (job txJob, ok bool) {
 	src := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
 	if src == nil {
-		// Page extends past physical memory; nothing translatable.
-		return
+		return job, false
 	}
-	m.pipe.nextSeq++
-	job := txJob{
-		base:   base,
-		entry:  entry,
-		epoch:  m.epoch[base],
-		seq:    m.pipe.nextSeq,
-		digest: sha256.Sum256(src),
-		snap:   append([]byte(nil), src...),
-		// Fault plans are drawn here, on the machine goroutine, so a
-		// seeded injector's random draws happen in deterministic order
-		// regardless of worker scheduling.
-		plan:       m.plantedFault(base),
-		enqueuedNs: time.Now().UnixNano(),
-	}
-	select {
-	case m.pipe.jobs <- job:
-		m.pipe.inflight[base] = inflightJob{
-			seq:        job.seq,
-			deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
-		}
-		m.Stats.AsyncEnqueues++
-		if m.tp != nil {
-			m.tp.asyncEnqueue(m, base)
-		}
-	default:
-		m.Stats.AsyncQueueFull++
-	}
-}
-
-// enqueueTier2 offers an optimizing retranslation of a live page to the
-// worker pool: the machine goroutine draws the chaos plan and measures the
-// promotion-time branch profile (both deterministic), and the snapshot
-// pins the bytes the tier-2 schedule is valid for. Queue-full is the same
-// backpressure as tier-1: the page keeps running its tier-1 translation
-// and a later dispatch retries (the promotion gates are already met).
-func (m *Machine) enqueueTier2(base, entry uint32, st *t2State) {
-	if _, ok := m.pipe.inflight[base]; ok {
-		// One attempt at a time: the promotion gates stay met, so every
-		// dispatch while a job is in flight would otherwise re-enqueue it.
-		return
-	}
-	src := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
-	if src == nil {
-		return
-	}
-	plan := m.plantedFault(base)
-	profile := m.tier2Profile(entry)
-	if plan != nil {
-		m.applyTier2Plan(plan, profile, st)
-	}
-	m.pipe.nextSeq++
-	job := txJob{
+	return txJob{
 		base:       base,
 		entry:      entry,
 		epoch:      m.epoch[base],
-		seq:        m.pipe.nextSeq,
 		digest:     sha256.Sum256(src),
 		snap:       append([]byte(nil), src...),
-		plan:       plan,
-		tier2:      true,
-		profile:    profile,
-		noSpec:     m.inhibit[base],
 		enqueuedNs: time.Now().UnixNano(),
+	}, true
+}
+
+// stale reports whether the job's page changed since it was snapshotted:
+// an epoch bump (SMC drain, cast-out, quarantine, adaptive retranslation)
+// or different bytes (a store into a not-yet-protected page raises no
+// code-modification interrupt, so the digest is re-checked). A stale
+// result describes a page that no longer exists and must be dropped.
+func (m *Machine) stale(job txJob) bool {
+	cur := m.Mem.Bytes(job.base, m.Trans.Opt.PageSize)
+	return m.epoch[job.base] != job.epoch || cur == nil || sha256.Sum256(cur) != job.digest
+}
+
+// busy reports whether a job for the page at base must wait: one is
+// already in flight, or the queue is full (backpressure, counted in
+// Stats.AsyncQueueFull); a later dispatch retries. It is checked before
+// any job is built, so a push-back costs no snapshot or profile. Only the
+// machine goroutine sends, so a free slot seen here is still free at
+// submit. Always false on a synchronous machine, which runs jobs inline.
+func (m *Machine) busy(base uint32) bool {
+	if m.pipe == nil {
+		return false
 	}
-	select {
-	case m.pipe.jobs <- job:
-		m.pipe.inflight[base] = inflightJob{
-			seq:        job.seq,
-			deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
-			tier2:      true,
-		}
-	default:
-		m.Stats.AsyncQueueFull++
+	if _, ok := m.pipe.inflight[base]; ok {
+		return true
+	}
+	if len(m.pipe.jobs) < cap(m.pipe.jobs) {
+		return false
+	}
+	m.Stats.AsyncQueueFull++
+	return true
+}
+
+// submit hands a built job to the worker pool and marks its page in
+// flight, so the page is never queued twice and never cache-installed
+// while a worker owns it. The caller has checked busy.
+func (m *Machine) submit(job txJob) {
+	m.pipe.nextSeq++
+	job.seq = m.pipe.nextSeq
+	m.pipe.jobs <- job
+	m.pipe.inflight[job.base] = inflightJob{
+		seq:        job.seq,
+		deadlineNs: job.enqueuedNs + int64(m.asyncDeadline()),
+		tier2:      job.tier2,
 	}
 }
 
-// publishTier2 installs one finished optimizing retranslation, unless the
-// page changed underneath it (epoch bump or byte digest mismatch) — then
-// the result is dropped and the restarted stability clock decides whether
-// promotion is attempted again. A failed result backs the page's promotion
-// off; it can never quarantine the page, whose tier-1 translation is fine.
-func (m *Machine) publishTier2(r txResult) {
-	base := r.job.base
-	cur := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
-	if m.epoch[base] != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
-		m.Stats.StaleTranslationsDropped++
+// enqueue offers the page to the worker pool. A full queue is
+// backpressure, not an error: the page stays interpretive and a later
+// dispatch retries (hot count is already past threshold).
+func (m *Machine) enqueue(base, entry uint32) {
+	if m.busy(base) {
 		return
+	}
+	job, ok := m.newJob(base, entry)
+	if !ok {
+		return
+	}
+	// Fault plans are drawn here, on the machine goroutine, so a seeded
+	// injector's random draws happen in deterministic order regardless of
+	// worker scheduling.
+	job.plan = m.plantedFault(base)
+	m.submit(job)
+	m.Stats.AsyncEnqueues++
+	if m.tp != nil {
+		m.tp.asyncEnqueue(m, base)
+	}
+}
+
+// publishTier2 installs one finished optimizing retranslation — from a
+// worker, or run inline by a synchronous machine's promotion — unless the
+// page changed underneath it (stale): then the result is dropped and the
+// restarted stability clock decides whether promotion is attempted again.
+// A failed result backs the page's promotion off; it can never quarantine
+// the page, whose tier-1 translation is fine. It reports whether the
+// translation was installed.
+func (m *Machine) publishTier2(r txResult) bool {
+	base := r.job.base
+	if m.stale(r.job) {
+		m.Stats.StaleTranslationsDropped++
+		return false
 	}
 	if r.err != nil {
 		var pf *panicFault
@@ -465,16 +468,11 @@ func (m *Machine) publishTier2(r txResult) {
 			}
 		}
 		m.tier2Backoff(base)
-		return
+		return false
 	}
 	m.Trans.Stats = m.Trans.Stats.Add(r.stats)
 	m.installTier2(base, r.pt)
-	if m.tier2[base] == r.pt {
-		m.Stats.Tier2Publishes++
-		if m.tp != nil {
-			m.tp.tier2Published(m, base)
-		}
-	}
+	return m.tier2[base] == r.pt
 }
 
 // drainAsync publishes every finished translation waiting on the done
@@ -502,10 +500,13 @@ func (m *Machine) drainAsync() {
 				continue
 			}
 			delete(m.pipe.inflight, r.job.base)
-			if r.job.tier2 {
-				m.publishTier2(r)
-			} else {
+			if !r.job.tier2 {
 				m.publish(r)
+			} else if m.publishTier2(r) {
+				m.Stats.Tier2Publishes++
+				if m.tp != nil {
+					m.tp.tier2Published(m, r.job.base)
+				}
 			}
 		default:
 			m.watchdog()
@@ -554,17 +555,13 @@ func (m *Machine) watchdog() {
 	}
 }
 
-// publish installs one worker result, unless it went stale in flight: an
-// epoch bump (SMC drain, cast-out, quarantine, adaptive retranslation) or
-// changed page bytes (a store into a not-yet-protected page raises no
-// code-modification interrupt, so the digest is re-checked here) discards
-// the result. The next dispatch of the page re-triggers translation
-// against its current contents. A failed result feeds the
-// retry/quarantine machinery instead of erroring the guest.
+// publish installs one worker result, unless it went stale in flight
+// (stale): then the result is discarded and the next dispatch of the page
+// re-triggers translation against its current contents. A failed result
+// feeds the retry/quarantine machinery instead of erroring the guest.
 func (m *Machine) publish(r txResult) {
 	base := r.job.base
-	cur := m.Mem.Bytes(base, m.Trans.Opt.PageSize)
-	if m.epoch[base] != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
+	if m.stale(r.job) {
 		m.Stats.StaleTranslationsDropped++
 		if m.tp != nil {
 			m.tp.asyncStale(m, base)
@@ -655,16 +652,7 @@ func (m *Machine) InflightPages() []uint32 {
 	if m.pipe == nil {
 		return nil
 	}
-	out := make([]uint32, 0, len(m.pipe.inflight))
-	for b := range m.pipe.inflight {
-		out = append(out, b)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return sortedBases(m.pipe.inflight)
 }
 
 // ---- Persistent cross-run translation cache ----

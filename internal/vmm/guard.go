@@ -34,11 +34,14 @@ import (
 // recover/watchdog barriers, so every plant is survivable by construction.
 //
 // Panic fires on every translation path (the synchronous page build and
-// entry extension as well as the async workers). Hang and Err apply only
-// to async worker jobs, whose watchdog/retry machinery is built to absorb
-// them; the synchronous path ignores them, because a synchronous
-// translation error keeps its historical fatal semantics. Deopt and
-// StaleProfile apply only to tier-2 promotions (tier2.go), where the
+// entry extension, async worker jobs, and tier-2 promotions). Err applies
+// to translation jobs: async worker jobs, whose retry machinery absorbs
+// it, and tier-2 promotions on either machine (a synchronous machine runs
+// the promotion job inline), where it backs promotion off. The synchronous
+// tier-1 page build and entry extension ignore Err, because a synchronous
+// translation error keeps its historical fatal semantics. Hang applies
+// only to async worker jobs, whose watchdog is built to absorb it. Deopt
+// and StaleProfile apply only to tier-2 promotions (tier2.go), where the
 // deopt/demotion machinery absorbs them: a plan drawn at promotion time
 // forces the first tier-2 dispatch to deoptimize, or inverts the measured
 // branch profile so the optimizing translation compiles exactly the cold

@@ -3,6 +3,7 @@ package vmm
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"daisy/internal/asm"
@@ -145,5 +146,102 @@ fin:	li r0, 0
 		if ma.St.GPR[4] != ip.St.GPR[4] {
 			t.Fatalf("input %q: r4 = %d, want %d", input, ma.St.GPR[4], ip.St.GPR[4])
 		}
+	}
+}
+
+// TestLookAheadLeavesMachineUntouched runs the look-ahead over guest code
+// that reads input, writes output, and stores both to data memory and
+// into its own (translated, so write-protected) code page. Everything the
+// look-ahead interprets happens on throwaway copies: afterwards the
+// machine's memory bytes, read-only bits, pending code-modification
+// marks, I/O environment, register file and PC are exactly as before, and
+// the real run still sees all of its input.
+func TestLookAheadLeavesMachineUntouched(t *testing.T) {
+	src := `
+_start:	lis r1, 0x8
+	li r9, 0xff0
+	li r12, 3
+	mtctr r12
+loop:	li r0, 2
+	sc
+	stb r3, 0(r1)
+	addi r1, r1, 1
+	stw r3, 0(r9)
+	li r0, 1
+	sc
+	bdnz loop
+` + halt + `
+	.org 0xff0
+	.word 0
+`
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Entry()&^0xfff != 0 {
+		t.Fatalf("entry %#x: the code-page store below assumes page 0", prog.Entry())
+	}
+	mm := mem.New(1 << 20)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	env := &interp.Env{In: []byte("abc")}
+	ma := New(mm, env, DefaultOptions())
+	ma.Start(prog.Entry(), 0)
+	if _, err := ma.groupAt(prog.Entry()); err != nil { // protects the code page
+		t.Fatal(err)
+	}
+	if !mm.ReadOnly(0) {
+		t.Fatal("code page not protected after translation")
+	}
+
+	memBefore := mm.Clone()
+	roBefore := make([]bool, mm.Size()>>mem.ProtectShift)
+	for u := range roBefore {
+		roBefore[u] = mm.ReadOnly(uint32(u) << mem.ProtectShift)
+	}
+	envBefore := *env
+	envBefore.Out = append([]byte(nil), env.Out...)
+	rfBefore, stBefore := ma.Exec.RF, ma.St
+
+	for _, budget := range []uint64{10, 1000} {
+		branches := 0
+		n := ma.lookAhead(prog.Entry(), budget, func(pc uint32, taken bool) { branches++ })
+		if n == 0 || n > budget {
+			t.Fatalf("budget %d: look-ahead interpreted %d insts", budget, n)
+		}
+		if budget == 1000 && branches != 3 {
+			t.Fatalf("look-ahead to halt saw %d branches, want 3", branches)
+		}
+		if !mm.EqualData(memBefore) {
+			t.Fatalf("budget %d: memory changed at %#x", budget, mm.FirstDifference(memBefore))
+		}
+		for u, ro := range roBefore {
+			if mm.ReadOnly(uint32(u)<<mem.ProtectShift) != ro {
+				t.Fatalf("budget %d: read-only bit of unit %d changed", budget, u)
+			}
+		}
+		if len(ma.dirty) != 0 {
+			t.Fatalf("budget %d: look-ahead store marked code pages modified: %v", budget, ma.dirty)
+		}
+		if !reflect.DeepEqual(*env, envBefore) {
+			t.Fatalf("budget %d: I/O environment changed: %+v -> %+v", budget, envBefore, *env)
+		}
+		if !reflect.DeepEqual(ma.Exec.RF, rfBefore) || ma.St != stBefore {
+			t.Fatalf("budget %d: register file or PC changed", budget)
+		}
+	}
+
+	for {
+		halted, err := ma.StepGroup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if halted {
+			break
+		}
+	}
+	if string(env.Out) != "abc" {
+		t.Fatalf("real run wrote %q, want \"abc\"", env.Out)
 	}
 }

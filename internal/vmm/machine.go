@@ -21,7 +21,6 @@ import (
 	"daisy/internal/interp"
 	"daisy/internal/mem"
 	"daisy/internal/ppc"
-	"daisy/internal/tradcomp/sched"
 	"daisy/internal/txcache"
 	"daisy/internal/vliw"
 )
@@ -330,13 +329,11 @@ type Machine struct {
 	// Optimizing retranslation tier (tier2.go). tier2 maps page base to
 	// the tier-2 translation; its keys are always a subset of pages — the
 	// tier-1 translation is retained as the deoptimization target. t2
-	// holds each page's promotion/demotion policy state; t2sched derives
-	// the optimizing translator options; t2journal is swapped into the
-	// executor while a tier-2 (deferred-commit) group runs. All nil/zero
-	// unless Opt.Tier2.
+	// holds each page's promotion/demotion policy state; t2journal is
+	// swapped into the executor while a tier-2 (deferred-commit) group
+	// runs. All nil unless Opt.Tier2.
 	tier2     map[uint32]*core.PageTranslation
 	t2        map[uint32]*t2State
-	t2sched   sched.Scheduler
 	t2journal *vliw.StoreJournal
 
 	// tp is the attached telemetry probe (nil when telemetry is off; see
@@ -404,7 +401,6 @@ func New(m *mem.Memory, env *interp.Env, opt Options) *Machine {
 	if opt.Tier2 {
 		ma.tier2 = make(map[uint32]*core.PageTranslation)
 		ma.t2 = make(map[uint32]*t2State)
-		ma.t2sched = sched.Tier2()
 		ma.t2journal = &vliw.StoreJournal{}
 	}
 	return ma
@@ -604,9 +600,12 @@ func (m *Machine) InjectSMC(addr uint32) {
 
 // TranslatedPages returns the bases of currently translated pages in
 // ascending order (deterministic, for seeded injectors and inspection).
-func (m *Machine) TranslatedPages() []uint32 {
-	out := make([]uint32, 0, len(m.pages))
-	for b := range m.pages {
+func (m *Machine) TranslatedPages() []uint32 { return sortedBases(m.pages) }
+
+// sortedBases returns the page bases keying pages in ascending order.
+func sortedBases[V any](pages map[uint32]V) []uint32 {
+	out := make([]uint32, 0, len(pages))
+	for b := range pages {
 		out = append(out, b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -674,12 +673,7 @@ func (m *Machine) flushCacheStores() {
 	if len(m.cachePending) == 0 {
 		return
 	}
-	bases := make([]uint32, 0, len(m.cachePending))
-	for base := range m.cachePending {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	for _, base := range bases {
+	for _, base := range sortedBases(m.cachePending) {
 		if pt := m.cachePending[base]; m.pages[base] == pt {
 			m.cacheStore(pt)
 		}
@@ -687,28 +681,34 @@ func (m *Machine) flushCacheStores() {
 	m.cachePending = nil
 }
 
-// recordTrace interprets ahead from entry on throwaway copies of memory
-// and the I/O environment, recording the direction of every conditional
-// branch (Chapter 6: "since we are decoding the base architecture
-// instructions, interpreting them at that point adds only a small
-// overhead"). It returns a guide the translator consumes in order.
+// lookAhead interprets up to budget instructions ahead from entry,
+// starting from the current register file, on throwaway copies of memory
+// and the I/O environment, reporting every conditional branch to
+// onBranch. Halt, fault or budget exhaustion all end it; it returns the
+// number of instructions interpreted. The machine itself is untouched.
+// Chapter 6: "since we are decoding the base architecture instructions,
+// interpreting them at that point adds only a small overhead".
+func (m *Machine) lookAhead(entry uint32, budget uint64, onBranch func(pc uint32, taken bool)) uint64 {
+	ip := interp.New(m.Mem.Clone(), m.Env.Clone(), entry)
+	m.Exec.RF.ToState(&ip.St)
+	ip.St.PC = entry
+	ip.OnBranch = onBranch
+	_ = ip.Run(budget)
+	return ip.InstCount
+}
+
+// recordTrace looks ahead from entry, recording the direction of every
+// conditional branch in order, and returns a guide the translator
+// consumes in that order (interpretive compilation, Chapter 6).
 func (m *Machine) recordTrace(entry uint32) func(pc uint32) (bool, bool) {
 	type rec struct {
 		pc    uint32
 		taken bool
 	}
-	mc := m.Mem.Clone()
-	env := m.Env.Clone()
-	ip := interp.New(mc, env, entry)
-	m.Exec.RF.ToState(&ip.St)
-	ip.St.PC = entry
 	var recs []rec
-	ip.OnBranch = func(pc uint32, taken bool) {
+	m.Stats.TraceRecInsts += m.lookAhead(entry, uint64(4*m.Trans.Opt.Window), func(pc uint32, taken bool) {
 		recs = append(recs, rec{pc, taken})
-	}
-	budget := uint64(4 * m.Trans.Opt.Window)
-	_ = ip.Run(budget) // halt, fault or budget exhaustion all end recording
-	m.Stats.TraceRecInsts += ip.InstCount
+	})
 	i := 0
 	return func(pc uint32) (bool, bool) {
 		if i >= len(recs) || recs[i].pc != pc {

@@ -22,14 +22,9 @@ package vmm
 // unreachable.
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
-
-	"daisy/internal/txcache"
-	"daisy/internal/vliw"
 )
 
 // PrecompileReport summarizes one pre-translation pass.
@@ -94,19 +89,12 @@ func (m *Machine) Precompile(entries []uint32) (PrecompileReport, error) {
 			rep.AlreadyCached++
 			continue
 		}
-		src := m.Mem.Bytes(base, ps)
-		if src == nil {
+		job, ok := m.newJob(base, entry)
+		if !ok {
 			rep.Skipped++
 			continue
 		}
-		jobs = append(jobs, txJob{
-			base:       base,
-			entry:      entry,
-			epoch:      m.epoch[base], // nil-map read is 0 on sync machines
-			digest:     sha256.Sum256(src),
-			snap:       append([]byte(nil), src...),
-			enqueuedNs: time.Now().UnixNano(),
-		})
+		jobs = append(jobs, job)
 	}
 	if len(jobs) == 0 {
 		return rep, nil
@@ -140,6 +128,7 @@ func (m *Machine) Precompile(entries []uint32) (PrecompileReport, error) {
 	p.wg.Wait()
 	close(p.done)
 
+	before := m.Stats
 	for r := range p.done {
 		if r.err != nil {
 			rep.Failed++
@@ -150,30 +139,18 @@ func (m *Machine) Precompile(entries []uint32) (PrecompileReport, error) {
 			continue
 		}
 		rep.Translated++
-		// The same staleness rule publish applies: if the page's bytes or
-		// epoch moved while the worker ran, the result describes a page
-		// that no longer exists. (Content addressing would keep a stale
-		// entry unreachable anyway; dropping it keeps the cache clean.)
-		base := r.job.base
-		cur := m.Mem.Bytes(base, ps)
-		if m.epoch[base] != r.job.epoch || cur == nil || sha256.Sum256(cur) != r.job.digest {
-			rep.Stale++
+		// The same staleness rule publish applies. (Content addressing
+		// would keep a stale entry unreachable anyway; dropping it keeps
+		// the cache clean.)
+		if m.stale(r.job) {
 			m.Stats.StaleTranslationsDropped++
 			continue
 		}
 		m.Trans.Stats = m.Trans.Stats.Add(r.stats)
-		key := txcache.Key{PageBase: base, OptFP: m.optFP, Digest: r.job.digest}
-		groups := make([]*vliw.Group, 0, len(r.pt.Order))
-		for _, e := range r.pt.Order {
-			groups = append(groups, r.pt.Groups[e])
-		}
-		if stored, err := m.Opt.Cache.Save(key, groups); err != nil {
-			rep.SaveErrors++
-			m.Stats.CacheSaveErrors++
-		} else if stored {
-			rep.Stored++
-			m.Stats.CacheStores++
-		}
+		m.cacheStore(r.pt)
 	}
+	rep.Stale = int(m.Stats.StaleTranslationsDropped - before.StaleTranslationsDropped)
+	rep.Stored = int(m.Stats.CacheStores - before.CacheStores)
+	rep.SaveErrors = int(m.Stats.CacheSaveErrors - before.CacheSaveErrors)
 	return rep, nil
 }

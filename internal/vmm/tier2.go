@@ -9,6 +9,16 @@ package vmm
 // guided by branch probabilities measured at promotion time — forming
 // superblocks along the hot path across the original group boundaries.
 //
+// A promotion is an ordinary translation job (async.go): newJob snapshots
+// the page, the machine goroutine draws any chaos plan and then measures
+// the branch profile with lookAhead, and workerTranslate runs the tier-2
+// recipe behind the recover barrier. The only difference between the two
+// machines is who runs the job: an async machine submits it to the worker
+// pool, a synchronous one runs it inline. Either way the result goes
+// through publishTier2 — the same staleness check, the same failure
+// backoff (never a quarantine: the page's tier-1 translation is fine), the
+// same install.
+//
 // The deal tier 2 strikes is speed for precision: a deferred-commit group
 // is precise only at its entry and its path ends. Anything that needs a
 // precise state mid-group — an exception, an alias verify failure, a store
@@ -28,7 +38,7 @@ package vmm
 
 import (
 	"daisy/internal/core"
-	"daisy/internal/interp"
+	"daisy/internal/tradcomp/sched"
 	"daisy/internal/vliw"
 )
 
@@ -120,7 +130,9 @@ func (m *Machine) tier2Dispatch(g1 *vliw.Group) *vliw.Group {
 // maybePromote counts one tier-1 dispatch into the page and retranslates
 // at tier-2 effort once the page is hot (Tier2Threshold dispatches) and
 // stable (Tier2Stability instructions since the last invalidation), and
-// any demotion backoff has expired.
+// any demotion backoff has expired. A failed promotion — a planted or real
+// translator panic, a translation error — costs only the attempt: the page
+// keeps running tier 1 and promotion backs off.
 func (m *Machine) maybePromote(base uint32, st *t2State) {
 	st.dispatches++
 	now := m.instClock()
@@ -131,43 +143,34 @@ func (m *Machine) maybePromote(base uint32, st *t2State) {
 	if m.pages[base] == nil {
 		return // no tier-1 translation to deoptimize to
 	}
-	entry := m.St.PC
+	if m.busy(base) {
+		return // the gates stay met, so a later dispatch retries
+	}
+	job, ok := m.newJob(base, m.St.PC)
+	if !ok {
+		return
+	}
+	// The plan is drawn before profiling, both on the machine goroutine,
+	// so seeded injectors stay deterministic.
+	job.plan = m.plantedFault(base)
+	job.tier2 = true
+	job.profile = m.tier2Profile(job.entry)
+	job.noSpec = m.inhibit[base]
+	if job.plan != nil {
+		m.applyTier2Plan(job.plan, job.profile, st)
+	}
 	if m.pipe != nil {
-		m.enqueueTier2(base, entry, st)
+		m.submit(job)
 		return
 	}
-	m.promoteSync(base, entry, st)
-}
-
-// promoteSync profiles and retranslates the page inline (synchronous
-// machines). Promotion failures — a planted or real translator panic, a
-// translation error — cost only the attempt: the page keeps running
-// tier 1 and promotion backs off, because tier 2 is an optimization, not a
-// service the guest depends on.
-func (m *Machine) promoteSync(base, entry uint32, st *t2State) {
-	plan := m.plantedFault(base)
-	profile := m.tier2Profile(entry)
-	if plan != nil {
-		m.applyTier2Plan(plan, profile, st)
-		if plan.Panic || plan.Err != nil {
-			m.Stats.TranslatorPanics += b2u(plan.Panic)
-			m.tier2Backoff(base)
-			return
-		}
-	}
-	pt, err := m.translateTier2(base, entry, profile)
-	if err != nil {
-		m.tier2Backoff(base)
-		return
-	}
-	m.installTier2(base, pt)
+	m.publishTier2(workerTranslate(job, m.Opt.Trans))
 }
 
 // applyTier2Plan executes the machine-side half of a chaos plan at
 // promotion time: a stale profile inverts every measured branch direction
 // (tier 2 then compiles exactly the cold path), and a planted deopt fires
 // on the first tier-2 dispatch.
-func (m *Machine) applyTier2Plan(plan *TranslationFault, profile map[uint32][2]uint64, st *t2State) {
+func (m *Machine) applyTier2Plan(plan *TranslationFault, profile sched.Profile, st *t2State) {
 	if plan.StaleProfile {
 		for pc, c := range profile {
 			profile[pc] = [2]uint64{c[1], c[0]}
@@ -180,69 +183,13 @@ func (m *Machine) applyTier2Plan(plan *TranslationFault, profile map[uint32][2]u
 	}
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// tier2Profile interprets ahead from entry on throwaway copies of memory
-// and the I/O environment (the recordTrace pattern of Chapter 6), counting
-// the direction of every conditional branch. The counts become the
-// ProfileProb feedback that steers tier-2 superblock formation down the
-// measured hot path.
-func (m *Machine) tier2Profile(entry uint32) map[uint32][2]uint64 {
-	mc := m.Mem.Clone()
-	env := m.Env.Clone()
-	ip := interp.New(mc, env, entry)
-	m.Exec.RF.ToState(&ip.St)
-	ip.St.PC = entry
-	counts := make(map[uint32][2]uint64)
-	ip.OnBranch = func(pc uint32, taken bool) {
-		c := counts[pc]
-		if taken {
-			c[1]++
-		} else {
-			c[0]++
-		}
-		counts[pc] = c
-	}
-	budget := uint64(tier2ProfileMul * m.t2sched.Derive(m.Trans.Opt, nil).Window)
-	_ = ip.Run(budget) // halt, fault or budget exhaustion all end profiling
-	m.Stats.Tier2ProfileInsts += ip.InstCount
-	return counts
-}
-
-// profileProb wraps promotion-time branch counts as translator feedback.
-func profileProb(counts map[uint32][2]uint64) func(pc uint32) (float64, bool) {
-	if len(counts) == 0 {
-		return nil
-	}
-	return func(pc uint32) (float64, bool) {
-		c, ok := counts[pc]
-		if !ok || c[0]+c[1] == 0 {
-			return 0, false
-		}
-		return float64(c[1]) / float64(c[0]+c[1]), true
-	}
-}
-
-// translateTier2 runs the optimizing translation behind the same recover
-// barrier as every other translator invocation, on a private Translator so
-// a mid-schedule panic cannot leak half-built state into the tier-1 path.
-func (m *Machine) translateTier2(base, entry uint32, profile map[uint32][2]uint64) (pt *core.PageTranslation, err error) {
-	defer guardTranslate(&err)
-	opt := m.t2sched.Derive(m.Trans.Opt, profileProb(profile))
-	if m.inhibit[base] {
-		opt.SpeculateLoads = false // the page already proved alias-heavy
-	}
-	t := core.New(m.Mem, opt)
-	pt, err = t.TranslatePage(entry)
-	if err == nil {
-		m.Trans.Stats = m.Trans.Stats.Add(t.Stats)
-	}
-	return pt, err
+// tier2Profile measures the promotion-time branch profile by looking
+// ahead from entry (the recordTrace pattern of Chapter 6). The counts
+// steer tier-2 superblock formation down the measured hot path.
+func (m *Machine) tier2Profile(entry uint32) sched.Profile {
+	p := make(sched.Profile)
+	m.Stats.Tier2ProfileInsts += m.lookAhead(entry, tier2ProfileMul*uint64(sched.Tier2().Window), p.Record)
+	return p
 }
 
 // installTier2 publishes a tier-2 translation. The tier-1 translation must
@@ -354,14 +301,5 @@ func (m *Machine) noteDeopt(base uint32) {
 // Tier2Pages returns the bases of pages currently carrying a tier-2
 // translation, in ascending order (tests and inspection).
 func (m *Machine) Tier2Pages() []uint32 {
-	out := make([]uint32, 0, len(m.tier2))
-	for b := range m.tier2 {
-		out = append(out, b)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return sortedBases(m.tier2)
 }

@@ -97,6 +97,13 @@ func injectAt(pc, addr uint32, write bool, salt uint64, mod uint16) bool {
 	return h%uint64(mod) == 0
 }
 
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // fuzzLockstep runs prog on one machine configuration against a fresh
 // reference interpreter and validates every precise boundary. It returns
 // the machine for cross-engine assertions.

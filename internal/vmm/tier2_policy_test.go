@@ -10,11 +10,13 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"daisy/internal/asm"
 	"daisy/internal/interp"
 	"daisy/internal/mem"
 	"daisy/internal/ppc"
+	"daisy/internal/tradcomp/sched"
 	"daisy/internal/vliw"
 )
 
@@ -348,5 +350,201 @@ hot:	mullw. r3, r5, r8
 	}
 	if ma.Stats.Tier2Deopts == 0 && ma.Stats.AliasRecoveries == 0 {
 		t.Fatalf("no alias was ever detected; the verify discipline was not exercised")
+	}
+}
+
+// tier2PromotionSrc is a halting loop whose body calls into a second
+// page, so every iteration ends a StepGroup and the loop page is
+// dispatched (and counted by the tier-2 policy) once per trip.
+const tier2PromotionSrc = `
+_start:	lis r1, 0x8
+	li r5, 7
+	li r6, 0
+	li r12, 3000
+	mtctr r12
+hot:	stw r5, 0(r1)
+	addi r5, r5, 3
+	bl f
+	bdnz hot
+	mr r3, r6
+	li r0, 1
+	sc
+` + halt + `
+	.org 0x11000
+f:	lwz r7, 0(r1)
+	add r6, r6, r7
+	blr
+`
+
+// TestTier2PromotionFailure plants a failure in every tier-2 promotion of
+// the loop page, on a synchronous machine (the job runs inline) and an
+// async one (the job runs on a worker), as a panic and as an error. Tier
+// 2 is an optimization, so in every case the page keeps its tier-1
+// translation, is never quarantined, and backs its promotion off; only
+// the panics count as translator panics; and the guest cannot tell.
+func TestTier2PromotionFailure(t *testing.T) {
+	prog, err := asm.Assemble(tier2PromotionSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := mem.New(1 << 20)
+	if err := prog.Load(rm); err != nil {
+		t.Fatal(err)
+	}
+	renv := &interp.Env{}
+	ip := interp.New(rm, renv, prog.Entry())
+	if err := ip.Run(10_000_000); !errors.Is(err, interp.ErrHalt) {
+		t.Fatalf("interpreter: %v", err)
+	}
+	base := prog.Entry() &^ 0xfff
+
+	for _, async := range []bool{false, true} {
+		for _, panics := range []bool{true, false} {
+			name := map[bool]string{false: "sync", true: "async"}[async] + "/" +
+				map[bool]string{true: "panic", false: "err"}[panics]
+			t.Run(name, func(t *testing.T) {
+				opt := defOpt()
+				opt.Tier2 = true
+				opt.Tier2Threshold = 2
+				opt.AsyncTranslate = async
+				opt.HotThreshold = 1
+				mm := mem.New(1 << 20)
+				if err := prog.Load(mm); err != nil {
+					t.Fatal(err)
+				}
+				env := &interp.Env{}
+				ma := New(mm, env, opt)
+				defer ma.Close()
+
+				// Plan only for promotions: a dispatch that already has its
+				// tier-1 group. Page builds, async enqueues and entry
+				// extensions (no group at the PC yet) translate normally.
+				planted := 0
+				ma.FaultTranslation = func(b uint32) *TranslationFault {
+					if pt := ma.pages[b]; b != base || pt == nil || pt.Groups[ma.St.PC] == nil {
+						return nil
+					}
+					planted++
+					if panics {
+						return &TranslationFault{Panic: true}
+					}
+					return &TranslationFault{Err: errors.New("planted tier-2 failure")}
+				}
+
+				ma.Start(prog.Entry(), 10_000_000)
+				for {
+					// Let an in-flight promotion's result land before the
+					// next dispatch, so the failure is handled mid-run.
+					deadline := time.Now().Add(10 * time.Second)
+					for len(ma.InflightPages()) > 0 && len(ma.pipe.done) == 0 && time.Now().Before(deadline) {
+						time.Sleep(50 * time.Microsecond)
+					}
+					halted, err := ma.StepGroup()
+					if err != nil {
+						t.Fatalf("machine failed: %v", err)
+					}
+					if halted {
+						break
+					}
+				}
+
+				if planted != 1 {
+					t.Fatalf("%d promotion attempts, want exactly 1 inside the first backoff span", planted)
+				}
+				st := ma.t2[base]
+				if st == nil || st.backoff != tier2BackoffBase {
+					t.Fatalf("failed promotion did not back off: %+v", st)
+				}
+				if ma.tier2[base] != nil {
+					t.Fatal("a failed promotion installed tier 2")
+				}
+				if ma.Stats.Quarantines != 0 {
+					t.Fatalf("tier-2 failure quarantined a page (%d)", ma.Stats.Quarantines)
+				}
+				if ma.pages[base] == nil {
+					t.Fatal("loop page lost its tier-1 translation")
+				}
+				wantPanics := uint64(0)
+				if panics {
+					wantPanics = 1
+				}
+				if ma.Stats.TranslatorPanics != wantPanics {
+					t.Fatalf("TranslatorPanics = %d, want %d", ma.Stats.TranslatorPanics, wantPanics)
+				}
+				if !bytes.Equal(env.Out, renv.Out) || len(env.Out) == 0 {
+					t.Fatalf("output %q, want %q", env.Out, renv.Out)
+				}
+				if got, want := ma.Stats.BaseInsts(), ip.InstCount; got != want {
+					t.Fatalf("instruction counts differ: vmm=%d interp=%d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestTier2FullQueueDoesNotReprofile pins the backpressure pre-check for
+// promotions: with the single worker held and a one-slot queue, hot pages
+// whose promotion gates are met keep being pushed back, and each push-back
+// must cost nothing — the promotion-time profile is measured only for
+// jobs that are actually submitted.
+func TestTier2FullQueueDoesNotReprofile(t *testing.T) {
+	src := "_start:\tbl f1\n\tbl f2\n\tbl f3\n\taddi r1, r1, 1\n\tb _start\n" +
+		"\t.org 0x11000\nf1:\tblr\n" +
+		"\t.org 0x12000\nf2:\tblr\n" +
+		"\t.org 0x13000\nf3:\tblr\n"
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := mem.New(1 << 17)
+	if err := prog.Load(mm); err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.AsyncTranslate = true
+	opt.AsyncWorkers = 1
+	opt.AsyncQueueDepth = 1
+	opt.HotThreshold = 1
+	opt.InterpBudget = 3
+	opt.Tier2 = true
+	opt.Tier2Threshold = 2
+	// Promotion waits far longer than the tier-1 phase below takes, so the
+	// four tier-1 jobs are the only ones the first four tokens release.
+	opt.Tier2Stability = 500
+	m := New(mm, &interp.Env{}, opt)
+	defer m.Close()
+	m.pipe.testHold = make(chan struct{}, 4)
+	for i := 0; i < 4; i++ {
+		m.pipe.testHold <- struct{}{}
+	}
+	m.Start(prog.Entry(), 0)
+	stepUntil(t, m, "four tier-1 pages published", func() bool {
+		return m.Stats.AsyncPublishes == 4
+	})
+	if m.Stats.Tier2ProfileInsts != 0 {
+		t.Fatalf("promotion profiled during the tier-1 phase (%d insts)", m.Stats.Tier2ProfileInsts)
+	}
+
+	// The worker now holds the first promotion and the queue the second;
+	// every later promotion attempt meets a full queue.
+	full := m.Stats.AsyncQueueFull
+	stepUntil(t, m, "two promotions in flight and a push-back", func() bool {
+		return len(m.InflightPages()) == 2 && m.Stats.AsyncQueueFull > full
+	})
+	profiled, full := m.Stats.Tier2ProfileInsts, m.Stats.AsyncQueueFull
+	if budget := uint64(tier2ProfileMul * sched.Tier2().Window); profiled == 0 || profiled > 2*budget {
+		t.Fatalf("%d profile insts for 2 submitted promotions (budget %d each)", profiled, budget)
+	}
+	for i := 0; i < 500; i++ {
+		if _, err := m.StepGroup(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Stats.AsyncQueueFull-full < 100 {
+		t.Fatalf("only %d push-backs in 500 dispatches; the queue was not under pressure", m.Stats.AsyncQueueFull-full)
+	}
+	if m.Stats.Tier2ProfileInsts != profiled {
+		t.Fatalf("push-backs re-profiled: %d -> %d profile insts with no job submitted",
+			profiled, m.Stats.Tier2ProfileInsts)
 	}
 }
