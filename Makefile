@@ -23,14 +23,17 @@ race:
 
 # The hot-path packages under the race detector: the parallel experiment
 # runner and the chaos harness are the two places goroutines touch shared
-# machinery, so they get an explicit -race pass in CI.
+# machinery, so they get an explicit -race pass in CI. Guest memory joins
+# them because clones share pages copy-on-write: its flat-model fuzz seeds
+# and clone tests run here too.
 race-hot:
 	$(GO) test -race ./internal/chaos/... ./internal/experiments/...
+	$(GO) test -race ./internal/mem
 
 # The asynchronous-translation gates: the soak that runs every workload
 # with the worker pool on (under -race, it checks the machine/worker
-# seam), the staleness/backpressure tests, and the persistent-cache
-# round-trip and damage-fallback tests.
+# seam), the staleness/backpressure tests, the warm-up yield to workers,
+# and the persistent-cache round-trip and damage-fallback tests.
 race-async:
 	$(GO) test -race ./internal/vmm -run 'TestAsync|TestWarmCache|TestCache'
 	$(GO) test -race ./internal/txcache

@@ -47,10 +47,10 @@ func Injectors() []Injector {
 		stalePublish{},
 		tier2DeoptStorm{},
 		tier2StaleProfile{},
-		&cacheBitFlip{},
-		&cacheSkew{},
-		&cacheENOSPC{},
-		&cacheShortWrite{},
+		cacheBitFlip{},
+		cacheSkew{},
+		cacheENOSPC{},
+		cacheShortWrite{},
 	}
 }
 
@@ -342,26 +342,28 @@ func (tier2StaleProfile) Arm(m *vmm.Machine, rng *rand.Rand) {
 //
 // Each build gets a fresh in-memory store (Tune runs once per machine
 // construction), so the lockstep run and both bisection replays see
-// identical cache state evolution. MaxPages=2 keeps cast-outs frequent,
-// so evicted pages keep coming back through the cache-load path and
-// damaged entries are actually read, not just written.
+// identical cache state evolution. Arm reaches the store through the
+// machine's options, never through the injector: one injector value
+// serves scenarios that run in parallel. MaxPages=2 keeps cast-outs
+// frequent, so evicted pages keep coming back through the cache-load
+// path and damaged entries are actually read, not just written.
 
 // cacheBitFlip flips bytes inside stored entries. Every read of a damaged
 // entry must degrade to a counted corrupt miss and a fresh translation.
-type cacheBitFlip struct{ store *txcache.Store }
+type cacheBitFlip struct{}
 
-func (*cacheBitFlip) Name() string { return "cache-bitflip" }
-func (c *cacheBitFlip) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	opt.Cache = c.store
+func (cacheBitFlip) Name() string { return "cache-bitflip" }
+func (cacheBitFlip) Tune(opt *vmm.Options) {
+	opt.Cache = txcache.OpenMemory()
 	opt.MaxPages = 2
 }
-func (c *cacheBitFlip) Arm(m *vmm.Machine, rng *rand.Rand) {
+func (cacheBitFlip) Arm(m *vmm.Machine, rng *rand.Rand) {
+	store := m.Opt.Cache
 	m.OnGroupStart = func(pc uint32) {
 		if rng.Intn(64) != 0 {
 			return
 		}
-		if n := c.store.Corrupt(); n > 0 {
+		if n := store.Corrupt(); n > 0 {
 			m.Stats.InjectedFaults++
 		}
 	}
@@ -370,20 +372,20 @@ func (c *cacheBitFlip) Arm(m *vmm.Machine, rng *rand.Rand) {
 // cacheSkew rewrites stored entries to a foreign format version,
 // simulating a cache directory shared with a different translator build.
 // Reads must degrade to counted version-skew misses.
-type cacheSkew struct{ store *txcache.Store }
+type cacheSkew struct{}
 
-func (*cacheSkew) Name() string { return "cache-skew" }
-func (c *cacheSkew) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	opt.Cache = c.store
+func (cacheSkew) Name() string { return "cache-skew" }
+func (cacheSkew) Tune(opt *vmm.Options) {
+	opt.Cache = txcache.OpenMemory()
 	opt.MaxPages = 2
 }
-func (c *cacheSkew) Arm(m *vmm.Machine, rng *rand.Rand) {
+func (cacheSkew) Arm(m *vmm.Machine, rng *rand.Rand) {
+	store := m.Opt.Cache
 	m.OnGroupStart = func(pc uint32) {
 		if rng.Intn(64) != 0 {
 			return
 		}
-		if n := c.store.SkewVersion(txcache.Version + 1); n > 0 {
+		if n := store.SkewVersion(txcache.Version + 1); n > 0 {
 			m.Stats.InjectedFaults++
 		}
 	}
@@ -394,16 +396,16 @@ func (c *cacheSkew) Arm(m *vmm.Machine, rng *rand.Rand) {
 // (Stats.CacheSaveErrors, then the store's own write-bypass) and clearing
 // the condition must re-arm the write path; translation itself is never
 // affected.
-type cacheENOSPC struct{ store *txcache.Store }
+type cacheENOSPC struct{}
 
-func (*cacheENOSPC) Name() string { return "cache-enospc" }
-func (c *cacheENOSPC) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	c.store.SetFailMode(txcache.FailENOSPC)
-	opt.Cache = c.store
+func (cacheENOSPC) Name() string { return "cache-enospc" }
+func (cacheENOSPC) Tune(opt *vmm.Options) {
+	opt.Cache = txcache.OpenMemory()
+	opt.Cache.SetFailMode(txcache.FailENOSPC)
 	opt.MaxPages = 2
 }
-func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
+func (cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
+	store := m.Opt.Cache
 	full := true
 	m.OnGroupStart = func(pc uint32) {
 		if rng.Intn(48) != 0 {
@@ -411,9 +413,9 @@ func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
 		}
 		full = !full
 		if full {
-			c.store.SetFailMode(txcache.FailENOSPC)
+			store.SetFailMode(txcache.FailENOSPC)
 		} else {
-			c.store.SetFailMode(txcache.FailNone)
+			store.SetFailMode(txcache.FailNone)
 		}
 		m.Stats.InjectedFaults++
 	}
@@ -422,16 +424,15 @@ func (c *cacheENOSPC) Arm(m *vmm.Machine, rng *rand.Rand) {
 // cacheShortWrite tears every cache write: the entry lands truncated, as
 // if the process had died mid-write after the rename. Subsequent reads
 // must fail the checksum and degrade to counted corrupt misses.
-type cacheShortWrite struct{ store *txcache.Store }
+type cacheShortWrite struct{}
 
-func (*cacheShortWrite) Name() string { return "cache-shortwrite" }
-func (c *cacheShortWrite) Tune(opt *vmm.Options) {
-	c.store = txcache.OpenMemory()
-	c.store.SetFailMode(txcache.FailShortWrite)
-	opt.Cache = c.store
+func (cacheShortWrite) Name() string { return "cache-shortwrite" }
+func (cacheShortWrite) Tune(opt *vmm.Options) {
+	opt.Cache = txcache.OpenMemory()
+	opt.Cache.SetFailMode(txcache.FailShortWrite)
 	opt.MaxPages = 2
 }
-func (c *cacheShortWrite) Arm(m *vmm.Machine, rng *rand.Rand) {
+func (cacheShortWrite) Arm(m *vmm.Machine, rng *rand.Rand) {
 	// No randomness needed: every write is torn; every read of a torn
 	// entry must miss cleanly. The injected-fault counter rides on the
 	// store's own corrupt-miss counter instead.

@@ -8,6 +8,8 @@ package txcache_test
 
 import (
 	"bytes"
+	"compress/flate"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -155,6 +157,57 @@ func TestCompression(t *testing.T) {
 	}
 	if k2, ok := txcache.ParseName(txcacheFilename(k)); !ok || k2 != k {
 		t.Fatalf("ParseName does not invert the entry filename")
+	}
+}
+
+// TestPooledCompressorMatchesFresh pins that reusing DEFLATE state across
+// Saves changes no stored byte: every entry's compressed body, written by
+// a compressor that already encoded other entries, equals a fresh
+// BestSpeed writer's encoding of the same raw body, and every entry still
+// loads from a fresh store.
+func TestPooledCompressorMatchesFresh(t *testing.T) {
+	pt, groups := translated(t)
+	dir := t.TempDir()
+	s, err := txcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := key(pt)
+	sets := [][]*vliw.Group{groups, groups[:1], groups, groups[len(groups)-1:], groups}
+	for i, gs := range sets {
+		if _, err := s.Save(keyAt(base, i), gs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const codecAt, headerSize = 50, 55 // codec byte; magic..raw length
+	s2, err := txcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, gs := range sets {
+		k := keyAt(base, i)
+		payload, err := os.ReadFile(filepath.Join(dir, txcacheFilename(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload[codecAt] != 1 {
+			t.Fatalf("entry %d not compressed (codec %d)", i, payload[codecAt])
+		}
+		blob := payload[headerSize : len(payload)-4]
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(blob)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh bytes.Buffer
+		fw, _ := flate.NewWriter(&fresh, flate.BestSpeed)
+		fw.Write(raw)
+		fw.Close()
+		if !bytes.Equal(fresh.Bytes(), blob) {
+			t.Fatalf("entry %d: pooled compressor wrote %d bytes, a fresh one %d", i, len(blob), fresh.Len())
+		}
+		if got, ok := s2.Load(k); !ok || len(got) != len(gs) {
+			t.Fatalf("entry %d does not load back: ok=%v n=%d", i, ok, len(got))
+		}
 	}
 }
 

@@ -56,6 +56,19 @@ const (
 	codecFlate = 1 // body stored DEFLATE-compressed
 )
 
+// flateWriters and flateReaders recycle DEFLATE state across entries: a
+// fresh compressor allocates far more than a typical entry, so Save and
+// decodeEntry Reset a pooled one instead. Reset is equivalent to a fresh
+// NewWriter or NewReader, so the stored bytes do not depend on reuse.
+// NewWriter fails only for an invalid level, never for BestSpeed.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		fw, _ := flate.NewWriter(nil, flate.BestSpeed)
+		return fw
+	}}
+	flateReaders = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+)
+
 // headerSize is the fixed prefix before the body blob: magic, version,
 // key echo, codec byte, raw body length.
 const headerSize = 4 + 2 + 8 + 4 + 32 + 1 + 4
@@ -273,12 +286,13 @@ func (s *Store) Save(k Key, groups []*vliw.Group) (stored bool, err error) {
 	codec := byte(codecRaw)
 	blob := body
 	var comp bytes.Buffer
-	if fw, ferr := flate.NewWriter(&comp, flate.BestSpeed); ferr == nil {
-		if _, werr := fw.Write(body); werr == nil && fw.Close() == nil && comp.Len() < len(body) {
-			codec = codecFlate
-			blob = comp.Bytes()
-		}
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(&comp)
+	if _, werr := fw.Write(body); werr == nil && fw.Close() == nil && comp.Len() < len(body) {
+		codec = codecFlate
+		blob = comp.Bytes()
 	}
+	flateWriters.Put(fw)
 	var payload []byte
 	payload = binary.BigEndian.AppendUint32(payload, magic)
 	payload = binary.BigEndian.AppendUint16(payload, Version)
@@ -668,9 +682,12 @@ func decodeEntry(k Key, payload []byte) ([]*vliw.Group, int, missReason) {
 		}
 		raw = blob
 	case codecFlate:
-		fr := flate.NewReader(bytes.NewReader(blob))
+		fr := flateReaders.Get().(io.Reader)
+		if err := fr.(flate.Resetter).Reset(bytes.NewReader(blob), nil); err != nil {
+			return nil, 0, missCorrupt
+		}
 		b, err := io.ReadAll(io.LimitReader(fr, int64(rawLen)+1))
-		fr.Close()
+		flateReaders.Put(fr)
 		if err != nil || len(b) != rawLen {
 			return nil, 0, missCorrupt
 		}

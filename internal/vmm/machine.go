@@ -14,6 +14,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -1086,6 +1087,13 @@ func (m *Machine) noteAlias() {
 // case a new entry is created at the stopping point). This is also how
 // rfi-style re-entries avoid flooding pages with entry points (§3.4).
 func (m *Machine) interpret() error {
+	// While a worker owns a job, give it the CPU before interpreting on:
+	// with as many workers as CPUs, a queued worker otherwise waits for
+	// the machine goroutine to be preempted, and the page it would
+	// translate stays interpretive for that long.
+	if m.pipe != nil && len(m.pipe.inflight) > 0 {
+		runtime.Gosched()
+	}
 	m.Exec.RF.ToState(&m.St)
 	ip := interp.New(m.Mem, m.Env, m.St.PC)
 	ip.St = m.St
