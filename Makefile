@@ -58,9 +58,10 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=ExecutorThroughput -benchtime=1x .
 
 # End-to-end profiler gate: run a workload with every dispatch attributed,
-# export the pprof payload, and structurally validate it round-trips.
+# export the pprof payload; daisy-run re-reads it and fails unless it
+# validates structurally.
 profile-smoke:
-	$(GO) run ./cmd/daisy-profile -workload c_sieve -o /tmp/daisy-profile-smoke.pb -top 5 -check
+	$(GO) run ./cmd/daisy-run -workload c_sieve -profile /tmp/daisy-profile-smoke.pb -sample 1
 
 # Tier-2 soak: the optimizing-retranslation gates under the race detector —
 # the deopt/quarantine policy tests, the deferred-commit reconstruction
@@ -101,15 +102,16 @@ ci: vet build race race-hot race-async chaos-smoke chaos-soak tier2-soak aot-soa
 # metrics as a dated JSON snapshot — the repository's perf trajectory.
 # The snapshot carries a provenance manifest and the raw per-benchmark
 # sample distributions; compare two snapshots with
-# `make benchcmp A=BENCH_old.json B=BENCH_new.json` or gate with
+# `make benchcmp A=BENCH_old.json B=BENCH_new.json` (the gate plus every
+# other delta, all under the gate's policy) or gate alone with
 # `go run ./cmd/daisy-trend check OLD NEW`.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem . | \
-		$(GO) run ./cmd/daisy-bench -json -benchtime=1x -count=$(BENCH_COUNT) > BENCH_$(DATE).json
+		$(GO) run ./cmd/daisy-trend capture -benchtime=1x > BENCH_$(DATE).json
 	@echo "wrote BENCH_$(DATE).json"
 
 benchcmp:
-	$(GO) run ./cmd/daisy-bench -diff $(A) $(B)
+	$(GO) run ./cmd/daisy-trend check -all $(A) $(B)
 
 experiments:
 	$(GO) run ./cmd/daisy-experiments
@@ -134,12 +136,13 @@ trend:
 
 # CI gate: benchmark the working tree (2 samples per benchmark, enough
 # for honest min-of-N) and gate the pinned headline metrics against the
-# newest committed snapshot. Wall-clock metrics only gate when both
+# newest committed snapshot (daisy-trend picks it: manifest date, else
+# the commit that added the file). Wall-clock metrics only gate when both
 # snapshots come from the same host; deterministic metrics (allocs/op,
-# cycles/inst) gate everywhere. Acknowledge an intentional regression by
-# re-running with ACK="Benchmark/metric" (see EXPERIMENTS.md).
+# cycles/inst) gate everywhere; a pinned key missing from either side
+# fails. Acknowledge an intentional regression or removal by re-running
+# with ACK="Benchmark/metric" (see EXPERIMENTS.md).
 trend-check:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=2 -benchmem . | \
-		$(GO) run ./cmd/daisy-bench -json -benchtime=1x -count=2 > $${TMPDIR:-/tmp}/daisy-trend-now.json
-	$(GO) run ./cmd/daisy-trend check $(if $(ACK),-ack "$(ACK)") \
-		$(lastword $(sort $(wildcard BENCH_*.json))) $${TMPDIR:-/tmp}/daisy-trend-now.json
+		$(GO) run ./cmd/daisy-trend capture -benchtime=1x > $${TMPDIR:-/tmp}/daisy-trend-now.json
+	$(GO) run ./cmd/daisy-trend check $(if $(ACK),-ack "$(ACK)") $${TMPDIR:-/tmp}/daisy-trend-now.json

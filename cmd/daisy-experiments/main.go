@@ -28,8 +28,8 @@ func main() {
 	flag.Parse()
 	// The runner builds its machines internally, so only the profiling
 	// half of the observability flags applies here (-cpuprofile /
-	// -memprofile); attach telemetry to a single run with daisy-run or
-	// watch one live with daisy-top.
+	// -memprofile); attach telemetry to a single run with daisy-run, or
+	// watch one live with daisy-run -top -snapshot-every D.
 	_, finish, err := ob.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "daisy-experiments:", err)

@@ -30,6 +30,8 @@ import (
 	"strings"
 	"time"
 
+	"daisy/cmd/internal/obs"
+	"daisy/internal/asm"
 	"daisy/internal/chaos"
 	"daisy/internal/experiments"
 	"daisy/internal/golden"
@@ -37,7 +39,6 @@ import (
 	"daisy/internal/mem"
 	"daisy/internal/perfwall"
 	"daisy/internal/stats"
-	"daisy/internal/telemetry"
 	"daisy/internal/vmm"
 	"daisy/internal/workload"
 )
@@ -187,7 +188,7 @@ func run(scale int, only, out, name string, reps, fleetReps, machines,
 				labels[i] = fmt.Sprintf("r%d", i+1)
 			}
 			svg := perfwall.Sparkline(s.Name+" ("+s.Unit+")", labels, s.Values, 640, 180)
-			if err := rf.WriteFile(filepath.Join("plots", plotName(s.Name)+".svg"), svg); err != nil {
+			if err := rf.WriteFile(filepath.Join("plots", perfwall.SafeName(s.Name)+".svg"), svg); err != nil {
 				return err
 			}
 		}
@@ -245,18 +246,23 @@ func crossCheck(scale int, goldens string) (*stats.Table, int) {
 	return t, bad
 }
 
-func machineAndRefFNV(name string, scale int) (machine, ref uint64, err error) {
+// load builds workload name into a fresh guest memory image.
+func load(name string) (workload.Workload, *asm.Program, *mem.Memory, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
-		return 0, 0, err
+		return w, nil, nil, err
 	}
 	prog, err := w.Build()
 	if err != nil {
-		return 0, 0, err
+		return w, nil, nil, err
 	}
-
 	mm := mem.New(experiments.MemSize)
-	if err := prog.Load(mm); err != nil {
+	return w, prog, mm, prog.Load(mm)
+}
+
+func machineAndRefFNV(name string, scale int) (machine, ref uint64, err error) {
+	w, prog, mm, err := load(name)
+	if err != nil {
 		return 0, 0, err
 	}
 	env := &interp.Env{In: w.Input(scale)}
@@ -319,57 +325,32 @@ func chaosSummary(scale, seeds int) (*stats.Table, int, error) {
 	return t, divTotal, nil
 }
 
-// profileSmoke runs one workload with the attribution profiler attached,
-// validates the pprof payload, and archives it with the telemetry
-// snapshot in both JSON and Prometheus form.
+// profileSmoke runs one workload with the attribution profiler attached
+// through the shared -profile path (which validates the pprof payload),
+// and archives the payload with the telemetry snapshot in both JSON and
+// Prometheus form.
 func profileSmoke(rf *perfwall.RunFolder, scale int) error {
-	w, err := workload.ByName("c_sieve")
+	dir := filepath.Join(rf.Dir, "profile")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tel, finish, err := (&obs.Flags{Sample: 1, ProfileFile: filepath.Join(dir, "c_sieve.pb")}).Setup()
 	if err != nil {
 		return err
 	}
-	prog, err := w.Build()
+	w, prog, mm, err := load("c_sieve")
 	if err != nil {
 		return err
 	}
-	mm := mem.New(experiments.MemSize)
-	if err := prog.Load(mm); err != nil {
-		return err
-	}
-	env := &interp.Env{In: w.Input(scale)}
-	ma := vmm.New(mm, env, vmm.DefaultOptions())
+	ma := vmm.New(mm, &interp.Env{In: w.Input(scale)}, vmm.DefaultOptions())
 	defer ma.Close()
-	tel := telemetry.New(telemetry.Options{SampleEvery: 1, Profile: true})
 	ma.AttachTelemetry(tel)
 	if err := ma.Run(prog.Entry(), 4_000_000_000); err != nil {
 		return err
 	}
 	ma.SyncTelemetry()
-
-	var pprof strings.Builder
-	if err := tel.Profile().WritePprof(&pprof); err != nil {
+	if err := finish(); err != nil {
 		return err
 	}
-	sum, err := telemetry.ValidatePprof(strings.NewReader(pprof.String()))
-	if err != nil {
-		return fmt.Errorf("pprof payload invalid: %w", err)
-	}
-	if err := rf.WriteFile(filepath.Join("profile", "c_sieve.pb"), []byte(pprof.String())); err != nil {
-		return err
-	}
-	if err := tel.Snapshot().WriteFiles(filepath.Join(rf.Dir, "profile")); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "[daisy-paper] profiler smoke ok: %s\n", sum)
-	return nil
-}
-
-func plotName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
+	return tel.Snapshot().WriteFiles(dir)
 }

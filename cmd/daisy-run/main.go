@@ -10,6 +10,14 @@
 // into the persistent cache on a parallel worker pool and nothing is
 // executed — the fleet warm-up pass.
 //
+// The shared observability flags (cmd/internal/obs) watch the run:
+//
+//	daisy-run -workload wc -top -snapshot-every 500ms   # live top screen
+//	daisy-run -workload wc -profile wc.pb -sample 1 -annotate 2
+//
+// -annotate N prints the guest profile's N hottest pages side by side:
+// each base instruction next to the VLIW parcels scheduled from it.
+//
 // Flags select the machine configuration, translation page size, input,
 // and whether to cross-check against the interpreter.
 package main
@@ -27,6 +35,7 @@ import (
 )
 
 func main() {
+	opt := daisy.DefaultOptions()
 	var (
 		configName = flag.String("config", "24-16-8-7", "machine configuration (see -list-configs)")
 		listCfg    = flag.Bool("list-configs", false, "list machine configurations and exit")
@@ -39,13 +48,14 @@ func main() {
 		dump       = flag.Bool("dump", false, "dump the entry group's tree VLIWs before running")
 		memMB      = flag.Uint("mem", 8, "physical memory size in MiB")
 		maxInsts   = flag.Uint64("max", 0, "instruction budget (0 = unlimited)")
-		async      = flag.Bool("async", false, "translate asynchronously on a worker pool (hot pages only)")
 		cacheDir   = flag.String("txcache", "", "persistent translation cache directory (created if missing)")
 		precompile = flag.Bool("precompile", false, "pre-translate the whole binary into -txcache, then exit without running")
-		tier2      = flag.Bool("tier2", false, "retranslate hot stable pages at tier-2 (optimizing) effort")
-		tier2Thr   = flag.Int("tier2-threshold", 0, "dispatches before a page is tier-2 eligible (0: default 8)")
-		tier2Stab  = flag.Uint64("tier2-stability", 0, "instructions a page must stay unmodified before tier-2 (0: default)")
+		annotate   = flag.Int("annotate", 0, "with -profile: print the N hottest pages' annotated disassembly to stderr")
 	)
+	flag.BoolVar(&opt.AsyncTranslate, "async", false, "translate asynchronously on a worker pool (hot pages only)")
+	flag.BoolVar(&opt.Tier2, "tier2", false, "retranslate hot stable pages at tier-2 (optimizing) effort")
+	flag.IntVar(&opt.Tier2Threshold, "tier2-threshold", 0, "dispatches before a page is tier-2 eligible (0: default 8)")
+	flag.Uint64Var(&opt.Tier2Stability, "tier2-stability", 0, "instructions a page must stay unmodified before tier-2 (0: default)")
 	ob := obs.Register()
 	flag.Parse()
 
@@ -56,28 +66,30 @@ func main() {
 		}
 		return
 	}
-	t2 := tier2Opts{on: *tier2, threshold: *tier2Thr, stability: *tier2Stab}
-	if err := run(*configName, uint32(*pageSize), *wl, *scale, *inputFile,
-		*useInterp, *check, *dump, uint32(*memMB)<<20, *maxInsts, *async, *cacheDir, *precompile, t2, ob, flag.Args()); err != nil {
+	if err := run(opt, *configName, uint32(*pageSize), *cacheDir, *wl, *scale, *inputFile,
+		*useInterp, *check, *dump, uint32(*memMB)<<20, *maxInsts, *precompile, *annotate, ob, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "daisy-run:", err)
 		os.Exit(1)
 	}
 }
 
-// tier2Opts carries the optimizing-retranslation knobs from the flag set.
-type tier2Opts struct {
-	on        bool
-	threshold int
-	stability uint64
-}
-
-func run(configName string, pageSize uint32, wl string, scale int, inputFile string,
-	useInterp, check, dump bool, memSize uint32, maxInsts uint64,
-	async bool, cacheDir string, precompile bool, t2 tier2Opts, ob *obs.Flags, args []string) error {
+func run(opt daisy.MachineOptions, configName string, pageSize uint32, cacheDir string,
+	wl string, scale int, inputFile string, useInterp, check, dump bool, memSize uint32,
+	maxInsts uint64, precompile bool, annotate int, ob *obs.Flags, args []string) error {
 
 	cfg, err := vliw.ConfigByName(configName)
 	if err != nil {
 		return err
+	}
+	opt.Trans.Config = cfg
+	opt.Trans.PageSize = pageSize
+	if cacheDir != "" {
+		if opt.Cache, err = daisy.OpenTranslationCache(cacheDir); err != nil {
+			return err
+		}
+	}
+	if annotate > 0 && ob.ProfileFile == "" {
+		return errors.New("-annotate needs -profile FILE")
 	}
 
 	var prog *daisy.Program
@@ -107,21 +119,6 @@ func run(configName string, pageSize uint32, wl string, scale int, inputFile str
 		if input, err = os.ReadFile(inputFile); err != nil {
 			return err
 		}
-	}
-
-	opt := daisy.DefaultOptions()
-	opt.Trans.Config = cfg
-	opt.Trans.PageSize = pageSize
-	opt.AsyncTranslate = async
-	opt.Tier2 = t2.on
-	opt.Tier2Threshold = t2.threshold
-	opt.Tier2Stability = t2.stability
-	if cacheDir != "" {
-		cache, err := daisy.OpenTranslationCache(cacheDir)
-		if err != nil {
-			return err
-		}
-		opt.Cache = cache
 	}
 
 	if dump {
@@ -203,6 +200,15 @@ func run(configName string, pageSize uint32, wl string, scale int, inputFile str
 		return runErr
 	}
 	os.Stdout.Write(env.Out)
+	if annotate > 0 {
+		prof := tel.Profile()
+		for i, ps := range prof.Pages() {
+			if i == annotate {
+				break
+			}
+			fmt.Fprint(os.Stderr, ma.AnnotatedDisassembly(prof, ps.Base))
+		}
+	}
 
 	s := &ma.Stats
 	fmt.Fprintf(os.Stderr, "[daisy] %d base instructions in %d VLIWs (ILP %.2f)\n",
@@ -210,11 +216,11 @@ func run(configName string, pageSize uint32, wl string, scale int, inputFile str
 	fmt.Fprintf(os.Stderr, "[daisy] pages %d, groups %d, interp insts %d, aliases %d, cross-page %d/%d/%d (direct/lr/ctr)\n",
 		s.PagesBuilt, s.GroupsBuilt, s.InterpInsts, s.Exec.Aliases,
 		s.CrossDirect, s.CrossLR, s.CrossCTR)
-	if async {
+	if opt.AsyncTranslate {
 		fmt.Fprintf(os.Stderr, "[daisy] async: enqueued %d, published %d, pushed back %d, stale dropped %d\n",
 			s.AsyncEnqueues, s.AsyncPublishes, s.AsyncQueueFull, s.StaleTranslationsDropped)
 	}
-	if t2.on {
+	if opt.Tier2 {
 		fmt.Fprintf(os.Stderr, "[daisy] tier2: promoted %d, dispatches %d, deopts %d, demoted %d\n",
 			s.Tier2Promotions, s.Tier2Dispatches, s.Tier2Deopts, s.Tier2Demotions)
 	}

@@ -1,31 +1,32 @@
-// daisy-trend turns the repository's committed BENCH_*.json history into
-// a perf-trend wall and a CI regression gate.
+// daisy-trend owns the repository's benchmark snapshots: it captures
+// `go test -bench` output as a BENCH_*.json snapshot, renders the
+// history as a perf-trend wall, and diffs and gates two snapshots under
+// one regression policy.
 //
+//	go test -run='^$' -bench=. -count=4 -benchmem . | daisy-trend capture > BENCH_new.json
 //	daisy-trend wall                  # every BENCH_*.json, one markdown table
 //	daisy-trend wall -plots trend/    # plus one SVG sparkline per metric
-//	daisy-trend check OLD NEW         # gate: exit 1 on significant regression
+//	daisy-trend check NEW             # gate NEW against the newest BENCH_*.json
+//	daisy-trend check -all OLD NEW    # gate, and print every other delta too
 //
-// `wall` aligns every benchmark/metric pair across the history (snapshots
-// are sorted chronologically, with _pre variants before their date group)
-// and renders the full per-metric trend table. `check` compares two
-// snapshots benchstat-style — min-of-N summaries, Mann-Whitney rank-sum
-// significance when both sides retained samples — and gates on the pinned
-// key metrics (see -keys). Wall-clock metrics only gate between snapshots
-// from the same host (manifest CPU/GOOS/GOARCH match); deterministic
-// counters gate everywhere. An intentional regression is acknowledged
-// with -ack "Benchmark/metric", which records the trade-off in the CI
-// invocation instead of silently raising thresholds.
-//
-// Both commands accept the original headerless []Result files and the
-// schema-1 manifest-bearing form interchangeably.
+// History runs oldest first: by manifest date, else by the commit that
+// added the file, else by name. `check` compares benchstat-style —
+// min-of-N summaries, Mann-Whitney rank-sum significance when both sides
+// retained samples — and gates on the pinned key metrics (see -keys).
+// Wall-clock metrics only gate between snapshots from the same host;
+// deterministic counters gate everywhere; a key missing from either
+// snapshot fails. An intentional regression or removal is acknowledged
+// with -ack "Benchmark/metric" in the CI invocation instead of silently
+// raising thresholds. The run ends with one line naming every pinned key
+// that was not gated, and why.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"daisy/internal/perfwall"
@@ -38,6 +39,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "capture":
+		err = captureCmd(os.Args[2:])
 	case "wall":
 		err = wallCmd(os.Args[2:])
 	case "check":
@@ -58,14 +61,38 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
+  daisy-trend capture [-benchtime T] < bench.txt > BENCH.json   snapshot go test -bench output
   daisy-trend wall [-dir D] [-plots DIR] [files...]   render the trend wall
-  daisy-trend check [flags] OLD.json NEW.json         gate on regressions
+  daisy-trend check [flags] [OLD.json] NEW.json       gate on regressions
+                                                      (OLD: the newest BENCH_*.json here)
 
 check flags:
   -keys  comma-separated Benchmark/metric pairs (default: the pinned headline metrics)
-  -ack   comma-separated Benchmark/metric pairs whose regressions are intentional
+  -ack   comma-separated Benchmark/metric pairs whose regression or absence is intentional
   -all   also print every non-gated benchmark/metric delta
 `)
+}
+
+// captureCmd reads `go test -bench` output on stdin, echoes it to stderr
+// so a piped `make bench` still shows live progress, and writes the
+// schema-1 snapshot to stdout.
+func captureCmd(args []string) error {
+	fs := flag.NewFlagSet("capture", flag.ExitOnError)
+	benchtime := fs.String("benchtime", "", "benchtime the suite ran with, recorded in the manifest")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	snap, err := perfwall.ParseBench(io.TeeReader(os.Stdin, os.Stderr))
+	if err != nil {
+		return err
+	}
+	snap.Manifest.BenchTime = *benchtime
+	b, err := snap.Encode()
+	if err != nil {
+		return err
+	}
+	_, err = os.Stdout.Write(b)
+	return err
 }
 
 func wallCmd(args []string) error {
@@ -76,19 +103,7 @@ func wallCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	paths := fs.Args()
-	if len(paths) == 0 {
-		var err error
-		paths, err = filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
-		if err != nil {
-			return err
-		}
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no BENCH_*.json files found")
-	}
-	perfwall.SortHistoryPaths(paths)
-	files, err := perfwall.LoadHistory(paths)
+	files, err := history(*dir, fs.Args())
 	if err != nil {
 		return err
 	}
@@ -117,7 +132,7 @@ func writePlots(dir string, files []perfwall.HistoryFile) error {
 	n := 0
 	for _, s := range perfwall.AlignHistory(files) {
 		svg := perfwall.Sparkline(s.Key.String(), labels, s.Values, 640, 180)
-		name := sanitize(s.Key.Bench+"_"+s.Key.Metric) + ".svg"
+		name := perfwall.SafeName(s.Key.Bench+"_"+s.Key.Metric) + ".svg"
 		if err := os.WriteFile(filepath.Join(dir, name), svg, 0o644); err != nil {
 			return err
 		}
@@ -130,47 +145,61 @@ func writePlots(dir string, files []perfwall.HistoryFile) error {
 func checkCmd(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	keysFlag := fs.String("keys", "", "comma-separated Benchmark/metric pairs to gate on")
-	ackFlag := fs.String("ack", "", "comma-separated Benchmark/metric pairs whose regressions are intentional")
+	ackFlag := fs.String("ack", "", "comma-separated Benchmark/metric pairs whose regression or absence is intentional")
 	all := fs.Bool("all", false, "also print every non-gated delta")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("check needs exactly two files, got %d", fs.NArg())
+	var oldPath, newPath string
+	switch fs.NArg() {
+	case 1:
+		newPath = fs.Arg(0)
+		var err error
+		if oldPath, err = newestSnapshot(newPath); err != nil {
+			return err
+		}
+	case 2:
+		oldPath, newPath = fs.Arg(0), fs.Arg(1)
+	default:
+		return fmt.Errorf("check needs [OLD] NEW, got %d files", fs.NArg())
 	}
-	oldS, err := perfwall.ReadSnapshot(fs.Arg(0))
+	oldS, err := perfwall.ReadSnapshot(oldPath)
 	if err != nil {
 		return err
 	}
-	newS, err := perfwall.ReadSnapshot(fs.Arg(1))
+	newS, err := perfwall.ReadSnapshot(newPath)
 	if err != nil {
 		return err
 	}
 
-	var keys []perfwall.Key
-	for _, s := range splitList(*keysFlag) {
-		k, err := parseKey(s)
-		if err != nil {
-			return err
-		}
-		keys = append(keys, k)
+	keys, err := parseKeys(*keysFlag)
+	if err != nil {
+		return err
 	}
-	acked := splitList(*ackFlag)
-	for _, a := range acked {
-		if _, err := parseKey(a); err != nil {
-			return err
-		}
+	acked, err := parseKeys(*ackFlag)
+	if err != nil {
+		return err
 	}
 
 	results, failed := perfwall.Check(oldS, newS, keys, acked, perfwall.CompareOptions{})
-	fmt.Printf("%s -> %s\n", fs.Arg(0), fs.Arg(1))
+	fmt.Printf("%s -> %s\n", oldPath, newPath)
 	if !perfwall.SameHost(oldS.Manifest, newS.Manifest) {
 		fmt.Println("(different or unknown hosts: wall-clock metrics are informational only)")
 	}
+	var notGated []string
 	for _, res := range results {
+		if res.NotGated != "" {
+			why := res.NotGated
+			if res.Acked {
+				why += ", acked"
+			}
+			notGated = append(notGated, fmt.Sprintf("%s (%s)", res.Key, why))
+		}
 		switch {
+		case res.Delta == nil && res.Acked:
+			fmt.Printf("  ACKED %-55s (missing)\n", res.Key)
 		case res.Delta == nil:
-			fmt.Printf("  skip  %-55s (absent)\n", res.Key)
+			fmt.Printf("  FAIL  %-55s (missing)\n", res.Key)
 		case res.Acked:
 			fmt.Printf("  ACKED %s\n", res.Delta)
 		case res.Delta.Regression:
@@ -184,53 +213,70 @@ func checkCmd(args []string) error {
 		for _, res := range results {
 			gated[res.Key.String()] = true
 		}
-		deltas := perfwall.CompareSnapshots(oldS, newS, perfwall.CompareOptions{})
-		sort.Slice(deltas, func(i, j int) bool {
-			if deltas[i].Bench != deltas[j].Bench {
-				return deltas[i].Bench < deltas[j].Bench
-			}
-			return deltas[i].Metric < deltas[j].Metric
-		})
 		fmt.Println("  --")
-		for _, d := range deltas {
+		for _, d := range perfwall.CompareSnapshots(oldS, newS, perfwall.CompareOptions{}) {
 			if gated[d.Bench+"/"+d.Metric] {
 				continue
 			}
 			fmt.Printf("  info  %s\n", d)
 		}
 	}
+	if len(notGated) == 0 {
+		notGated = []string{"none"}
+	}
+	fmt.Println("not gated:", strings.Join(notGated, "; "))
 	if failed {
-		return fmt.Errorf("significant regression on gated metrics (acknowledge an intentional one with -ack \"Benchmark/metric\")")
+		return fmt.Errorf("significant regression or missing key on pinned metrics (acknowledge an intentional one with -ack \"Benchmark/metric\")")
 	}
 	fmt.Println("trend gate: ok")
 	return nil
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
+// history loads paths, or every BENCH_*.json in dir when none are
+// given, oldest first.
+func history(dir string, paths []string) ([]perfwall.HistoryFile, error) {
+	if len(paths) == 0 {
+		paths, _ = filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	}
-	return out
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no BENCH_*.json files in %s", dir)
+	}
+	files, err := perfwall.LoadHistory(paths)
+	if err != nil {
+		return nil, err
+	}
+	perfwall.SortHistory(files, perfwall.GitAddTime)
+	return files, nil
 }
 
-func parseKey(s string) (perfwall.Key, error) {
-	i := strings.Index(s, "/")
-	if i <= 0 || i == len(s)-1 {
-		return perfwall.Key{}, fmt.Errorf("bad key %q (want Benchmark/metric, e.g. BenchmarkExecutorThroughput/ns/op)", s)
+// newestSnapshot returns the newest BENCH_*.json in the working
+// directory other than exclude.
+func newestSnapshot(exclude string) (string, error) {
+	files, err := history(".", nil)
+	if err != nil {
+		return "", err
 	}
-	return perfwall.Key{Bench: s[:i], Metric: s[i+1:]}, nil
+	ex, _ := filepath.Abs(exclude)
+	for i := len(files) - 1; i >= 0; i-- {
+		if p, _ := filepath.Abs(files[i].Path); p != ex {
+			return files[i].Path, nil
+		}
+	}
+	return "", fmt.Errorf("no BENCH_*.json baseline other than %s", exclude)
 }
 
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
+// parseKeys parses a comma-separated list of Benchmark/metric pairs.
+func parseKeys(list string) ([]perfwall.Key, error) {
+	var keys []perfwall.Key
+	for _, s := range strings.Split(list, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
 		}
-	}, s)
+		bench, metric, ok := strings.Cut(s, "/")
+		if bench == "" || metric == "" || !ok {
+			return nil, fmt.Errorf("bad key %q (want Benchmark/metric, e.g. BenchmarkExecutorThroughput/ns/op)", s)
+		}
+		keys = append(keys, perfwall.Key{Bench: bench, Metric: metric})
+	}
+	return keys, nil
 }

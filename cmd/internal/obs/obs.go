@@ -1,7 +1,7 @@
 // Package obs is the shared observability flag plumbing for the daisy
 // command-line tools: one -telemetry switch plus exporter/profiling flags,
-// so daisy-run, daisy-chaos, daisy-experiments and daisy-top expose the
-// same surface.
+// so daisy-run, daisy-chaos and daisy-experiments expose the same surface.
+// -top with -snapshot-every redraws the top screen live.
 package obs
 
 import (
@@ -41,10 +41,10 @@ func Register() *Flags {
 	flag.StringVar(&f.ChromeFile, "trace-chrome", "", "telemetry: write a Chrome trace_event file to FILE at exit")
 	flag.StringVar(&f.ProfileFile, "profile", "", "telemetry: write a guest pprof profile (base-PC attribution) to FILE at exit")
 	flag.BoolVar(&f.Spans, "spans", false, "telemetry: trace page-lifecycle spans (begin/end events + latency histograms)")
-	flag.BoolVar(&f.Top, "top", false, "telemetry: print a daisy-top screen to stderr at exit")
+	flag.BoolVar(&f.Top, "top", false, "telemetry: print the top screen to stderr at exit (redrawn live with -snapshot-every)")
 	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to FILE")
 	flag.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to FILE at exit")
-	flag.DurationVar(&f.SnapshotEvery, "snapshot-every", 0, "telemetry: print a snapshot line to stderr every interval")
+	flag.DurationVar(&f.SnapshotEvery, "snapshot-every", 0, "telemetry: print a snapshot line (with -top: redraw the top screen) to stderr every interval")
 	return f
 }
 
@@ -67,6 +67,7 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 		}
 		stops = append(stops, stop)
 	}
+	start := time.Now()
 	if f.Enabled() {
 		tel = telemetry.New(telemetry.Options{
 			SampleEvery: f.Sample,
@@ -74,11 +75,13 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 			Profile:     f.ProfileFile != "",
 			Spans:       f.Spans,
 		})
-		if f.SnapshotEvery > 0 {
+		switch {
+		case f.SnapshotEvery > 0 && f.Top:
+			stops = append(stops, liveTop(tel, start, f.SnapshotEvery))
+		case f.SnapshotEvery > 0:
 			stops = append(stops, telemetry.PeriodicSnapshots(tel, os.Stderr, f.SnapshotEvery))
 		}
 	}
-	start := time.Now()
 	finish = func() error {
 		for i := len(stops) - 1; i >= 0; i-- {
 			stops[i]()
@@ -102,12 +105,8 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 			}
 		}
 		if f.ProfileFile != "" {
-			if prof := tel.Profile(); prof != nil {
-				if err := writeFile(f.ProfileFile, func(w *os.File) error {
-					return prof.WritePprof(w)
-				}); err != nil {
-					return err
-				}
+			if err := writeProfile(f.ProfileFile, tel.Profile()); err != nil {
+				return err
 			}
 		}
 		tr := tel.Tracer()
@@ -124,6 +123,48 @@ func (f *Flags) Setup() (tel *telemetry.Telemetry, finish func() error, err erro
 		return nil
 	}
 	return tel, finish, nil
+}
+
+// liveTop redraws the top screen on stderr every interval until stopped.
+func liveTop(tel *telemetry.Telemetry, start time.Time, interval time.Duration) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				fmt.Fprint(os.Stderr, "\x1b[2J\x1b[H"+
+					telemetry.RenderTop(tel.Snapshot(), time.Since(start), telemetry.TopOptions{}))
+			}
+		}
+	}()
+	return func() { close(done); <-exited }
+}
+
+// writeProfile writes the guest pprof payload to path, re-reads it
+// through ValidatePprof so a bad payload is an error here rather than in
+// `go tool pprof` later, and prints the flat report to stderr.
+func writeProfile(path string, prof *telemetry.Profile) error {
+	if err := writeFile(path, func(w *os.File) error { return prof.WritePprof(w) }); err != nil {
+		return err
+	}
+	r, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	sum, err := telemetry.ValidatePprof(r)
+	if err != nil {
+		return fmt.Errorf("%s: invalid pprof payload: %w", path, err)
+	}
+	fmt.Fprintf(os.Stderr, "[profile] wrote %s: %s (inspect with: go tool pprof -top %s)\n", path, sum, path)
+	fmt.Fprint(os.Stderr, prof.RenderTop(10))
+	return nil
 }
 
 func writeFile(path string, fn func(*os.File) error) error {

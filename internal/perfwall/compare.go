@@ -236,36 +236,52 @@ func compareMetric(or, nr *Result, metric string, sameHost bool, opts *CompareOp
 type CheckResult struct {
 	Key   Key
 	Delta *Delta // nil when the key is absent from either snapshot
-	Acked bool   // an intentional, acknowledged regression
+	// Acked: a regression or a missing key that was acknowledged.
+	Acked bool
+	// NotGated says why the key could not fail the gate on its numbers:
+	// "missing" (absent from either snapshot), or a wall-clock metric
+	// between different or unknown hosts. Empty when it was gated.
+	NotGated string
 }
 
-// Check runs the trend gate: every pinned key metric present in both
-// snapshots is compared, and any unacknowledged regression fails the
-// gate. acked lists "Benchmark/metric" strings whose regressions are
-// intentional (the documented escape hatch for a deliberate trade-off).
-func Check(old, new *Snapshot, keys []Key, acked []string, opts CompareOptions) (results []CheckResult, failed bool) {
+// Not-gated reasons a CheckResult carries.
+const (
+	NotGatedMissing   = "missing"
+	NotGatedCrossHost = "wall-clock, different or unknown hosts"
+)
+
+// Check runs the trend gate: every pinned key metric is compared, and
+// any unacknowledged regression fails the gate, as does a key missing
+// from either snapshot. acked lists the keys whose regression or absence
+// is intentional (the documented escape hatch for a deliberate
+// trade-off).
+func Check(old, new *Snapshot, keys, acked []Key, opts CompareOptions) (results []CheckResult, failed bool) {
 	if len(keys) == 0 {
 		keys = DefaultKeys
 	}
 	opts.fill()
 	sameHost := SameHost(old.Manifest, new.Manifest)
-	ackSet := make(map[string]bool, len(acked))
+	ackSet := make(map[Key]bool, len(acked))
 	for _, a := range acked {
 		ackSet[a] = true
 	}
 	for _, k := range keys {
-		res := CheckResult{Key: k}
+		res := CheckResult{Key: k, NotGated: NotGatedMissing}
 		or, nr := old.Result(k.Bench), new.Result(k.Bench)
 		if or != nil && nr != nil {
 			if _, ok := or.Metrics[k.Metric]; ok {
 				if _, ok := nr.Metrics[k.Metric]; ok {
 					d := compareMetric(or, nr, k.Metric, sameHost, &opts)
 					res.Delta = &d
+					res.NotGated = ""
+					if ClassOf(k.Metric) == ClassTime && !sameHost {
+						res.NotGated = NotGatedCrossHost
+					}
 				}
 			}
 		}
-		if res.Delta != nil && res.Delta.Regression {
-			if ackSet[k.String()] {
+		if res.Delta == nil || res.Delta.Regression {
+			if ackSet[k] {
 				res.Acked = true
 			} else {
 				failed = true

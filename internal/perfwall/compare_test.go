@@ -7,7 +7,7 @@ import (
 )
 
 // snap builds a one-benchmark snapshot with retained samples; the summary
-// metric is the min (what daisy-bench writes).
+// metric is the min (what daisy-trend capture writes).
 func snap(host string, bench, metric string, samples ...float64) *Snapshot {
 	min := samples[0]
 	for _, v := range samples {
@@ -63,7 +63,7 @@ func TestRegressionFlagged(t *testing.T) {
 	}
 	// Unless it is acknowledged.
 	_, failed = Check(old, new, []Key{{"BenchmarkExecutorThroughput", "ns/op"}},
-		[]string{"BenchmarkExecutorThroughput/ns/op"}, CompareOptions{})
+		[]Key{{"BenchmarkExecutorThroughput", "ns/op"}}, CompareOptions{})
 	if failed {
 		t.Fatal("an acked regression must pass the gate")
 	}
@@ -77,7 +77,7 @@ func TestWithinNoiseNotFlagged(t *testing.T) {
 	if d.Regression {
 		t.Fatalf("within-noise delta flagged as regression: %+v", d)
 	}
-	if _, failed := Check(old, new, nil, nil, CompareOptions{}); failed {
+	if _, failed := Check(old, new, []Key{{"BenchmarkExecutorThroughput", "ns/op"}}, nil, CompareOptions{}); failed {
 		t.Fatal("gate failed on noise")
 	}
 }
@@ -178,17 +178,44 @@ func TestMannWhitney(t *testing.T) {
 	}
 }
 
-func TestKeyAbsenceIsNotFailure(t *testing.T) {
+// TestMissingKeyFailsUnlessAcked: a pinned key absent from either
+// snapshot fails the gate, and is reported as not gated, unless acked.
+func TestMissingKeyFailsUnlessAcked(t *testing.T) {
 	old := snap("cpuA", "B", "ns/op", 1000)
 	new := snap("cpuA", "B", "ns/op", 1001)
-	// Default keys reference benchmarks absent from these snapshots.
-	res, failed := Check(old, new, nil, nil, CompareOptions{})
-	if failed {
-		t.Fatal("absent keys must not fail the gate")
+	keys := []Key{{"B", "ns/op"}, {"B", "allocs/op"}}
+	res, failed := Check(old, new, keys, nil, CompareOptions{})
+	if !failed {
+		t.Fatal("a missing pinned key must fail the gate")
 	}
-	for _, r := range res {
-		if r.Delta != nil {
-			t.Fatalf("unexpected delta for absent key %s", r.Key)
-		}
+	if res[0].Delta == nil || res[0].NotGated != "" {
+		t.Fatalf("present key: %+v", res[0])
+	}
+	if res[1].Delta != nil || res[1].NotGated != NotGatedMissing || res[1].Acked {
+		t.Fatalf("missing key: %+v", res[1])
+	}
+	res, failed = Check(old, new, keys, []Key{{"B", "allocs/op"}}, CompareOptions{})
+	if failed || !res[1].Acked || res[1].NotGated != NotGatedMissing {
+		t.Fatalf("an acked missing key must pass but stay reported: failed=%v %+v", failed, res[1])
+	}
+}
+
+// TestManifestlessBaselineNotGated: against a baseline with no manifest
+// a wall-clock key cannot gate, and Check says so; a deterministic key
+// still gates.
+func TestManifestlessBaselineNotGated(t *testing.T) {
+	old := snap("", "B", "ns/op", 1000)
+	old.Results[0].Metrics["allocs/op"] = 10
+	new := snap("cpuA", "B", "ns/op", 1000)
+	new.Results[0].Metrics["allocs/op"] = 10
+	res, failed := Check(old, new, []Key{{"B", "ns/op"}, {"B", "allocs/op"}}, nil, CompareOptions{})
+	if failed {
+		t.Fatalf("unchanged snapshots failed: %+v", res)
+	}
+	if res[0].NotGated != NotGatedCrossHost {
+		t.Fatalf("wall-clock key vs manifest-less baseline: %+v", res[0])
+	}
+	if res[1].NotGated != "" {
+		t.Fatalf("deterministic key must gate: %+v", res[1])
 	}
 }

@@ -66,7 +66,7 @@ func NewRunFolder(dir string, m *Manifest, scale int, args []string) (*RunFolder
 // AddTable archives one experiment table in all three renderings and
 // records it in the manifest.
 func (rf *RunFolder) AddTable(id string, t *stats.Table, wallMS float64) error {
-	base := filepath.Join(rf.Dir, "tables", sanitize(id))
+	base := filepath.Join(rf.Dir, "tables", SafeName(id))
 	if err := os.WriteFile(base+".txt", []byte(t.String()), 0o644); err != nil {
 		return err
 	}
@@ -117,7 +117,7 @@ func (rf *RunFolder) Finish() error {
 		rf.manifest.Date, rf.manifest.GitSHA, rf.manifest.GoVersion, rf.manifest.CPU, rf.manifest.Scale)
 	fmt.Fprintf(&b, "| experiment | rows | wall ms |\n|---|---|---|\n")
 	for _, e := range rf.manifest.Experiments {
-		fmt.Fprintf(&b, "| [%s](tables/%s.md) | %d | %.1f |\n", e.ID, sanitize(e.ID), e.Rows, e.WallMS)
+		fmt.Fprintf(&b, "| [%s](tables/%s.md) | %d | %.1f |\n", e.ID, SafeName(e.ID), e.Rows, e.WallMS)
 	}
 	return rf.WriteFile("README.md", []byte(b.String()))
 }
@@ -143,7 +143,7 @@ func Validate(dir string) error {
 	}
 	for _, e := range m.Experiments {
 		for _, ext := range []string{".txt", ".csv", ".md"} {
-			p := filepath.Join(dir, "tables", sanitize(e.ID)+ext)
+			p := filepath.Join(dir, "tables", SafeName(e.ID)+ext)
 			st, err := os.Stat(p)
 			if err != nil {
 				return err
@@ -156,7 +156,9 @@ func Validate(dir string) error {
 	return nil
 }
 
-func sanitize(id string) string {
+// SafeName maps s to a file-name-safe form: every rune outside
+// [A-Za-z0-9_-] becomes '_'.
+func SafeName(s string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
@@ -164,5 +166,5 @@ func sanitize(id string) string {
 		default:
 			return '_'
 		}
-	}, id)
+	}, s)
 }

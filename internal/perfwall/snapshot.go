@@ -11,11 +11,15 @@
 package perfwall
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // SchemaVersion identifies the snapshot file format. Version 0 is the
@@ -71,7 +75,7 @@ func (s *Snapshot) Sort() {
 
 // Decode parses snapshot bytes in either form: the schema-1 object with
 // a manifest header, or the legacy headerless array the seed history is
-// written in (Manifest stays nil for those).
+// written in (Manifest stays nil for those). Results come back sorted.
 func Decode(b []byte) (*Snapshot, error) {
 	trimmed := bytes.TrimLeft(b, " \t\r\n")
 	if len(trimmed) == 0 {
@@ -82,7 +86,9 @@ func Decode(b []byte) (*Snapshot, error) {
 		if err := json.Unmarshal(trimmed, &rs); err != nil {
 			return nil, err
 		}
-		return &Snapshot{Results: rs}, nil
+		s := &Snapshot{Results: rs}
+		s.Sort()
+		return s, nil
 	}
 	var s Snapshot
 	if err := json.Unmarshal(trimmed, &s); err != nil {
@@ -92,6 +98,7 @@ func Decode(b []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("perfwall: snapshot schema %d is newer than this tool (%d)",
 			s.Manifest.Schema, SchemaVersion)
 	}
+	s.Sort()
 	return &s, nil
 }
 
@@ -122,11 +129,81 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// WriteSnapshot writes the snapshot to path in the schema-1 form.
-func WriteSnapshot(path string, s *Snapshot) error {
-	b, err := s.Encode()
-	if err != nil {
-		return err
+// ParseBench captures `go test -bench` output into a snapshot stamped
+// with this host's manifest. Repeated lines for one benchmark (-count N)
+// fold into one Result: each summary metric keeps its minimum, Iters
+// sums across runs, and the raw values stay in capture order under
+// Samples. The manifest's Count is the longest sample list. A benchmark
+// that ran once carries no distribution, so its one-element sample
+// arrays are dropped.
+func ParseBench(r io.Reader) (*Snapshot, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	snap := &Snapshot{Manifest: CollectManifest("daisy-trend")}
+	byName := map[string]int{}
+	for sc.Scan() {
+		name, iters, metrics, ok := parseBenchLine(sc.Text())
+		if !ok {
+			continue
+		}
+		i, seen := byName[name]
+		if !seen {
+			i = len(snap.Results)
+			byName[name] = i
+			snap.Results = append(snap.Results, Result{Name: name,
+				Metrics: map[string]float64{}, Samples: map[string][]float64{}})
+		}
+		res := &snap.Results[i]
+		res.Iters += iters
+		for m, v := range metrics {
+			if old, ok := res.Metrics[m]; !ok || v < old {
+				res.Metrics[m] = v
+			}
+			res.Samples[m] = append(res.Samples[m], v)
+		}
 	}
-	return os.WriteFile(path, b, 0o644)
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for i := range snap.Results {
+		res := &snap.Results[i]
+		n := 0
+		for _, vs := range res.Samples {
+			n = max(n, len(vs))
+		}
+		if n <= 1 {
+			res.Samples = nil
+		}
+		snap.Manifest.Count = max(snap.Manifest.Count, n)
+	}
+	return snap, nil
+}
+
+// parseBenchLine parses one benchmark result line of the form
+//
+//	BenchmarkName-8   1   123456 ns/op   3.14 some-metric   456 B/op   7 allocs/op
+func parseBenchLine(line string) (name string, iters int64, metrics map[string]float64, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+		return "", 0, nil, false
+	}
+	name = f[0]
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i] // strip the -GOMAXPROCS suffix
+		}
+	}
+	iters, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return "", 0, nil, false
+	}
+	metrics = map[string]float64{}
+	for i := 2; i+1 < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", 0, nil, false
+		}
+		metrics[f[i+1]] = v
+	}
+	return name, iters, metrics, true
 }

@@ -3,9 +3,12 @@ package perfwall
 import (
 	"fmt"
 	"math"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
 
 	"daisy/internal/stats"
 )
@@ -18,9 +21,7 @@ type HistoryFile struct {
 }
 
 // LoadHistory reads every snapshot path in order. Labels are derived
-// from the file names; the caller chooses the order (the Makefile passes
-// a lexicographic glob, which for the dated BENCH_* names is close
-// enough to chronological).
+// from the file names; order the result with SortHistory.
 func LoadHistory(paths []string) ([]HistoryFile, error) {
 	var files []HistoryFile
 	for _, p := range paths {
@@ -33,35 +34,60 @@ func LoadHistory(paths []string) ([]HistoryFile, error) {
 	return files, nil
 }
 
-// SortHistoryPaths orders snapshot paths chronologically as far as the
-// naming convention allows: lexicographic by label (the dated names sort
-// correctly), except that a "_pre" variant — the convention for a
-// before/after pair's "before" — sorts ahead of every other snapshot of
-// its date.
-func SortHistoryPaths(paths []string) {
-	key := func(p string) (group string, rank int, label string) {
-		label = historyLabel(p)
-		rank = 1
-		if strings.HasSuffix(label, "_pre") {
-			rank = 0
+// SortHistory orders snapshots oldest first. A snapshot's time is its
+// manifest date when it has one, else added(path) — GitAddTime, the time
+// of the commit that added the file, outside tests. Snapshots of known
+// time sort by it, ahead of those whose time is unknown (zero, or a nil
+// added): uncommitted files are the newest. Ties and unknowns fall back
+// on the file name: dated names sort chronologically, and a "_pre"
+// variant — the convention for a before/after pair's "before" — leads
+// the other snapshots of its date.
+func SortHistory(files []HistoryFile, added func(path string) time.Time) {
+	at := make(map[string]time.Time, len(files))
+	for _, f := range files {
+		var t time.Time
+		if m := f.Snap.Manifest; m != nil {
+			t, _ = time.Parse(time.RFC3339, m.Date)
 		}
-		group = label
-		if cut := strings.IndexByte(group, '_'); cut >= 0 {
-			group = group[:cut]
+		if t.IsZero() && added != nil {
+			t = added(f.Path)
 		}
-		return group, rank, label
+		at[f.Path] = t
 	}
-	sort.SliceStable(paths, func(i, j int) bool {
-		gi, ri, li := key(paths[i])
-		gj, rj, lj := key(paths[j])
-		if gi != gj {
-			return gi < gj
+	nameKey := func(label string) string {
+		date, _, _ := strings.Cut(label, "_")
+		if strings.HasSuffix(label, "_pre") {
+			return date + "\x00" + label
 		}
-		if ri != rj {
-			return ri < rj
+		return date + "\x01" + label
+	}
+	sort.SliceStable(files, func(i, j int) bool {
+		ti, tj := at[files[i].Path], at[files[j].Path]
+		switch {
+		case ti.IsZero() != tj.IsZero():
+			return tj.IsZero()
+		case !ti.Equal(tj):
+			return ti.Before(tj)
 		}
-		return li < lj
+		return nameKey(files[i].Label) < nameKey(files[j].Label)
 	})
+}
+
+// GitAddTime returns the time of the git commit that added path, or the
+// zero time when git, the repository or the commit is unavailable (an
+// uncommitted file).
+func GitAddTime(path string) time.Time {
+	out, err := exec.Command("git", "-C", filepath.Dir(path), "log", "--diff-filter=A",
+		"--format=%ct", "--", filepath.Base(path)).Output()
+	if err != nil {
+		return time.Time{}
+	}
+	first, _, _ := strings.Cut(strings.TrimSpace(string(out)), "\n")
+	sec, err := strconv.ParseInt(first, 10, 64)
+	if err != nil {
+		return time.Time{}
+	}
+	return time.Unix(sec, 0)
 }
 
 func historyLabel(path string) string {

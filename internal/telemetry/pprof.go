@@ -201,7 +201,7 @@ func (p *Profile) WritePprof(w io.Writer) error {
 	return gz.Close()
 }
 
-// ---- payload validation (make profile-smoke, daisy-profile -check) ----
+// ---- payload validation (make profile-smoke, daisy-run -profile FILE) ----
 
 // pprofSummary is what ValidatePprof extracts from a payload.
 type pprofSummary struct {
